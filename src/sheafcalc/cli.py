@@ -214,6 +214,7 @@ def _cohom_payload(expr, twists, X):
     rows_txt = [["twist", "h0", "h1", "h2", "h3", "chi"]]
     for t in range(lo, hi + 1):
         col = table.column(t)
+        chi = table.chi(t)
         rows_json.append(
             {
                 "twist": t,
@@ -221,12 +222,10 @@ def _cohom_payload(expr, twists, X):
                 "h1": _entry_json(col[1]),
                 "h2": _entry_json(col[2]),
                 "h3": _entry_json(col[3]),
-                "chi": table.chi(t),
+                "chi": chi,
             }
         )
-        rows_txt.append(
-            [str(t)] + [str(e) for e in col] + [str(table.chi(t))]
-        )
+        rows_txt.append([str(t)] + [str(e) for e in col] + [str(chi)])
     payload = {
         "expression": pretty(expr),
         "threefold": X.name,

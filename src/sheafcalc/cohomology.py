@@ -54,7 +54,7 @@ class DimEntry:
 
     @staticmethod
     def unknown() -> "DimEntry":
-        return DimEntry(0, None)
+        return _UNKNOWN
 
     @property
     def status(self) -> str:
@@ -89,11 +89,14 @@ class DimEntry:
         return f"{self.lo}..{self.hi}"
 
 
+_UNKNOWN = DimEntry(0, None)  # immutable, so one instance serves every miss
+
+
 def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
     # A half-bounded interval is reported as unknown: the table type only
     # distinguishes exact values, finite boxes and no information.
     if hi is None:
-        return DimEntry.unknown()
+        return _UNKNOWN
     return DimEntry(lo, hi)
 
 
@@ -111,7 +114,7 @@ class CohomTable:
     label: str = ""
 
     def entry(self, i: int, t: int) -> DimEntry:
-        return self.entries.get((i, t), DimEntry.unknown())
+        return self.entries.get((i, t), _UNKNOWN)
 
     def twists(self) -> list[int]:
         return sorted({t for (_, t) in self.entries})
@@ -220,85 +223,87 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # ends), exactness says x[k] = r[k] + r[k+1].  The chaser runs interval
 # propagation over these equations plus the per-sheaf Euler characteristic,
 # intersecting only, so it is sound, monotone and idempotent by construction.
+# Lower and upper bounds are kept in flat int lists, None for unbounded.
 
-_INF = None
-
-
-def _iv_meet(a, b):
-    lo = max(a[0], b[0])
-    if a[1] is None:
-        hi = b[1]
-    elif b[1] is None:
-        hi = a[1]
-    else:
-        hi = min(a[1], b[1])
-    if hi is not None and lo > hi:
-        raise Inconsistent("dimension propagation derived an empty interval")
-    return (lo, hi)
-
-
-def _iv_add(a, b):
-    hi = None if a[1] is None or b[1] is None else a[1] + b[1]
-    return (a[0] + b[0], hi)
-
-
-def _iv_sub(a, b):
-    # lower bound needs b's upper bound; unbounded b gives no information;
-    # a negative upper bound is left in place for the meet to flag as empty
-    lo = 0 if b[1] is None else max(0, a[0] - b[1])
-    hi = None if a[1] is None else a[1] - b[0]
-    return (lo, hi)
-
-
-def _sig_add(a, b):
-    # signed intervals: None means unbounded on that side
-    lo = None if a[0] is None or b[0] is None else a[0] + b[0]
-    hi = None if a[1] is None or b[1] is None else a[1] + b[1]
-    return (lo, hi)
-
-
-def _sig_neg(a):
-    return (None if a[1] is None else -a[1], None if a[0] is None else -a[0])
+# Each chi rule solves sheaf j's Euler characteristic for its h^pos = x[i]:
+# x[i] = sign * chi[j] + x[a] + x[b] - x[p], where a and b are its h^q with
+# q - pos odd, p is its h^(pos+2 mod 4) and sign is (-1)^pos.
+_CHI_RULES = tuple(
+    (3 * pos + j, 3 * ((pos + 1) % 4) + j, 3 * ((pos + 3) % 4) + j,
+     3 * ((pos + 2) % 4) + j, j, 1 - 2 * (pos % 2))
+    for j in range(3)
+    for pos in range(4)
+)
+_EMPTY = "dimension propagation derived an empty interval"
 
 
 def _chase_single_twist(xs, chis):
     """Narrow 12 dimension intervals constrained by one long exact sequence.
 
-    xs: list of 12 (lo, hi) intervals in chain order; chis: the three exact
-    Euler characteristics.  Returns the narrowed intervals.
+    xs: list of 12 (lo, hi) intervals in chain order, hi None for unbounded;
+    chis: the three exact Euler characteristics.  Returns the narrowed
+    intervals.  Every narrowing is a meet in place; an empty one raises
+    Inconsistent.
     """
-    xs = list(xs)
-    rs = [(0, 0)] + [(0, _INF)] * 11 + [(0, 0)]
+    if chis[0] - chis[1] + chis[2] != 0:
+        # the chain's alternating sum is chi_A - chi_B + chi_C = r[0] - r[12]
+        raise Inconsistent(
+            f"Euler characteristics {tuple(chis)} are not additive"
+        )
+    xlo = [lo for lo, _ in xs]
+    xhi = [hi for _, hi in xs]
+    rlo = [0] * 13
+    rhi = [0] + [None] * 11 + [0]
     changed = True
     while changed:
         changed = False
-
-        def narrow(store, idx, new):
-            nonlocal changed
-            met = _iv_meet(store[idx], new)
-            if met != store[idx]:
-                store[idx] = met
-                changed = True
-
         for k in range(12):
-            narrow(xs, k, _iv_add(rs[k], rs[k + 1]))
-            narrow(rs, k, _iv_sub(xs[k], rs[k + 1]))
-            narrow(rs, k + 1, _iv_sub(xs[k], rs[k]))
-        for j in range(3):
-            # chi constraint per sheaf: x[j] - x[3+j] + x[6+j] - x[9+j] = chi_j
-            for pos in range(4):
-                sign = (-1) ** pos
-                acc = (sign * chis[j], sign * chis[j])
-                for k in range(4):
-                    if k == pos:
-                        continue
-                    cell = xs[3 * k + j]
-                    # solving for x_pos moves x_k across with sign -(-1)^k(-1)^pos
-                    term = cell if (k - pos) % 2 == 1 else _sig_neg(cell)
-                    acc = _sig_add(acc, term)
-                lo = 0 if acc[0] is None else max(0, acc[0])
-                narrow(xs, 3 * pos + j, (lo, acc[1]))
-    return xs
+            # x[k] = r[k] + r[k+1]
+            lo = rlo[k] + rlo[k + 1]
+            if lo < xlo[k]:
+                lo = xlo[k]
+            hi = xhi[k]
+            if rhi[k] is not None and rhi[k + 1] is not None:
+                v = rhi[k] + rhi[k + 1]
+                if hi is None or v < hi:
+                    hi = v
+            if hi is not None and lo > hi:
+                raise Inconsistent(_EMPTY)
+            if lo != xlo[k] or hi != xhi[k]:
+                xlo[k], xhi[k] = lo, hi
+                changed = True
+            # r[k] = x[k] - r[k+1], then r[k+1] = x[k] - r[k]
+            for m, n in ((k, k + 1), (k + 1, k)):
+                lo = rlo[m]
+                if rhi[n] is not None and xlo[k] - rhi[n] > lo:
+                    lo = xlo[k] - rhi[n]
+                hi = rhi[m]
+                if xhi[k] is not None:
+                    v = xhi[k] - rlo[n]
+                    if hi is None or v < hi:
+                        hi = v
+                if hi is not None and lo > hi:
+                    raise Inconsistent(_EMPTY)
+                if lo != rlo[m] or hi != rhi[m]:
+                    rlo[m], rhi[m] = lo, hi
+                    changed = True
+        for i, a, b, p, j, sign in _CHI_RULES:
+            lo = xlo[i]
+            if xhi[p] is not None:
+                v = sign * chis[j] + xlo[a] + xlo[b] - xhi[p]
+                if v > lo:
+                    lo = v
+            hi = xhi[i]
+            if xhi[a] is not None and xhi[b] is not None:
+                v = sign * chis[j] + xhi[a] + xhi[b] - xlo[p]
+                if hi is None or v < hi:
+                    hi = v
+            if hi is not None and lo > hi:
+                raise Inconsistent(_EMPTY)
+            if lo != xlo[i] or hi != xhi[i]:
+                xlo[i], xhi[i] = lo, hi
+                changed = True
+    return list(zip(xlo, xhi))
 
 
 def les_chase(
@@ -318,17 +323,14 @@ def les_chase(
     twists = sorted({t for table in tables for t in table.twists()})
     out = [dict(table.entries) for table in tables]
     for t in twists:
-        xs = []
-        for i in range(DIM + 1):
-            for table in tables:
-                e = table.entry(i, t)
-                xs.append((e.lo, e.hi))
+        column = [table.entry(i, t) for i in range(DIM + 1) for table in tables]
         chis = tuple(table.chi(t) for table in tables)
-        narrowed = _chase_single_twist(xs, chis)
-        for i in range(DIM + 1):
-            for j in range(3):
-                lo, hi = narrowed[3 * i + j]
-                out[j][(i, t)] = _entry_of_interval(lo, hi)
+        narrowed = _chase_single_twist([(e.lo, e.hi) for e in column], chis)
+        for k, (lo, hi) in enumerate(narrowed):
+            e = column[k]
+            if lo != e.lo or hi != e.hi:
+                e = _entry_of_interval(lo, hi)
+            out[k % 3][(k // 3, t)] = e
     return tuple(
         CohomTable(table.X, table.chern, entries, table.label)
         for table, entries in zip(tables, out)

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import (
@@ -24,12 +24,14 @@ from sheafcalc.chow import (
     sum_chern,
     threefold_from_dict,
     threefold_to_dict,
+    todd_class,
     twist_chern,
 )
 from sheafcalc.errors import (
     ArityError,
     DomainError,
     NonIntegralChernClass,
+    NonIntegralChi,
     UnsupportedRank,
 )
 
@@ -240,3 +242,69 @@ def test_threefold_consistency_checks():
     with pytest.raises(DomainError):
         # stability forces cX < 3 rho
         ThreefoldData("bad", 1, 7, 6, 4, rhoX=2, tx_stable="stable")
+
+
+# ---------------------------------------------------------------------------
+# chi_at_twist is a closed integer formula; the product of graded classes it
+# expands is kept here as the reference.
+
+
+def _chi_by_characters(c, t, X):
+    val = (
+        chern_to_ch(c, X) * ChowClass.exp_divisor(t) * todd_class(X)
+    ).top_degree(X.h3)
+    if val.denominator != 1:
+        raise NonIntegralChi(f"chi = {val} is not an integer on '{X.name}'")
+    return int(val)
+
+
+def _chi_outcome(chi, c, t, X):
+    try:
+        return chi(c, t, X)
+    except NonIntegralChi as exc:
+        return str(exc)
+
+
+random_threefolds = st.builds(
+    ThreefoldData,
+    name=st.sampled_from(["x", "weird one"]),
+    h3=st.integers(1, 60),
+    cX=st.integers(-30, 30),
+    c2TX_H=st.integers(-500, 500),
+    c3TX=st.integers(-500, 500),
+)
+wide_chern_data = st.builds(
+    ChernData,
+    rank=st.integers(0, 8),
+    c1=st.integers(-(10**4), 10**4),
+    n2=st.integers(-(10**6), 10**6),
+    n3=st.integers(-(10**6), 10**6),
+)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_chi_at_twist_matches_character_product(data):
+    # ranks 0-8 on presets and random profiles: arbitrary Chern data is
+    # mostly non-integral, sums of up to 8 line bundles are integral on the
+    # presets
+    X = data.draw(st.one_of(threefolds, random_threefolds))
+    c = data.draw(
+        st.one_of(
+            wide_chern_data,
+            st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(
+                lambda ts: sum_chern([line_chern(t) for t in ts], X)
+            ),
+        )
+    )
+    t = data.draw(st.integers(-200, 200))
+    assert _chi_outcome(chi_at_twist, c, t, X) == _chi_outcome(
+        _chi_by_characters, c, t, X
+    )
+
+
+def test_non_integral_chi_message():
+    # ch_3 of (0, 0, 0, 1) on P^3 is 1/2, so chi is 1/2
+    with pytest.raises(NonIntegralChi) as info:
+        chi_at_twist(ChernData(0, 0, 0, 1), 0, P3)
+    assert str(info.value) == "chi = 1/2 is not an integer on 'p3'"
