@@ -4,8 +4,9 @@ All classes are encoded by the integers that survive pairing against powers
 of the ample generator H: a sheaf is (rank, c1, c2.H, deg c3), a graded class
 is four exact rationals (coefficients of 1, H, H^2, H^3).  Every operation is
 a pure function over immutable values; nothing here ever touches floats.
-Riemann-Roch (chi_at_twist, hrr_chi) runs on plain integers in closed form;
-ChowClass is the rational API for the rest and the tests' reference for it.
+Twists, sums, third terms of sequences and Riemann-Roch all run on one
+integer Chern character (rank, c1, 2.h3.ch_2, 6.h3.ch_3), at every rank;
+ChowClass is the rational API and the tests' reference for that arithmetic.
 """
 
 from __future__ import annotations
@@ -30,26 +31,12 @@ TX_SEMISTABLE = "semistable"
 TX_UNKNOWN = "unknown"
 _TX_FLAGS = (TX_STABLE, TX_SEMISTABLE, TX_UNKNOWN)
 
-MAX_RANK = 3  # twist/dual expansions are only needed (and coded) up to rank 3
-
 
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient clamped to 0 for n < k (including negative n)."""
     if n < 0 or k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def _gbinom(n: int, k: int) -> int:
-    """Generalized binomial coefficient, exact for negative n as well."""
-    num = 1
-    for i in range(k):
-        num *= n - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    assert num % den == 0
-    return num // den
 
 
 @dataclass(frozen=True)
@@ -143,9 +130,6 @@ class ChernData:
 def line_chern(t: int) -> ChernData:
     """Chern data of the line bundle O(t)."""
     return ChernData(1, t, 0, 0)
-
-
-ZERO_SHEAF = ChernData(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -246,6 +230,48 @@ def todd_class(X: ThreefoldData) -> ChowClass:
     )
 
 
+def _ch(c: ChernData, h3: int) -> tuple[int, int, int, int]:
+    """Integer Chern character (rank, c1, q2, N3) = (ch_0, ch_1, 2.h3.ch_2,
+    6.h3.ch_3): chern_to_ch scaled to integers, additive over sequences."""
+    c1, n2 = c.c1, c.n2
+    return (
+        c.rank,
+        c1,
+        c1 * c1 * h3 - 2 * n2,
+        c1 * c1 * c1 * h3 - 3 * c1 * n2 + 3 * c.n3,
+    )
+
+
+def _ch_twist(ch, t: int, h3: int) -> tuple[int, int, int, int]:
+    """ch . exp(tH) on the integer character."""
+    r, c1, q2, N3 = ch
+    return (
+        r,
+        c1 + r * t,
+        q2 + h3 * t * (2 * c1 + r * t),
+        N3 + 3 * t * q2 + h3 * t * t * (3 * c1 + r * t),
+    )
+
+
+def _chern(ch, h3: int) -> ChernData:
+    """Inverse of _ch, with ch_to_chern's checks and messages."""
+    r, c1, q2, N3 = ch
+    if r < 0:
+        raise NonIntegralChernClass(f"rank = {r} is negative")
+    n2, rem = divmod(c1 * c1 * h3 - q2, 2)
+    if rem:
+        raise NonIntegralChernClass(
+            f"c2.H = {Fraction(c1 * c1 * h3 - q2, 2)} is not an integer"
+        )
+    num3 = N3 - c1 * c1 * c1 * h3 + 3 * c1 * n2
+    n3, rem = divmod(num3, 3)
+    if rem:
+        raise NonIntegralChernClass(
+            f"deg c3 = {Fraction(num3, 3)} is not an integer"
+        )
+    return ChernData(r, c1, n2, n3)
+
+
 def hrr_chi(c: ChernData, X: ThreefoldData) -> int:
     """Euler characteristic chi(E) = deg(ch(E).td(X))_3, exactly."""
     return chi_at_twist(c, 0, X)
@@ -254,27 +280,11 @@ def hrr_chi(c: ChernData, X: ThreefoldData) -> int:
 def chi_at_twist(c: ChernData, t: int, X: ThreefoldData) -> int:
     """chi of the sheaf twisted by O(t): Hirzebruch-Riemann-Roch in closed form.
 
-    deg(ch(E).exp(tH).td(X))_3 expanded over the integers: q2 is 2*h3*ch_2
-    of E, N2 and N3 are 2*h3*ch_2 and 6*h3*ch_3 of E(t), and chi = num / 24.
-    Equal to the product of ChowClass values term by term, with no rank cap
-    and no Fraction on the way.
+    deg(ch(E(t)).td(X))_3 is num / 24 on the integer character of E(t).
     """
-    r, c1, h3, cX, c2X = c.rank, c.c1, X.h3, X.cX, X.c2TX_H
-    q2 = c1 * c1 * h3 - 2 * c.n2
-    N2 = q2 + h3 * t * (2 * c1 + t * r)
-    N3 = (
-        c1 * c1 * c1 * h3
-        - 3 * c1 * c.n2
-        + 3 * c.n3
-        + 3 * t * q2
-        + h3 * t * t * (3 * c1 + t * r)
-    )
-    num = (
-        4 * N3
-        + 6 * cX * N2
-        + 2 * (c1 + r * t) * (cX * cX * h3 + c2X)
-        + r * cX * c2X
-    )
+    h3, cX, c2X = X.h3, X.cX, X.c2TX_H
+    r, c1, N2, N3 = _ch_twist(_ch(c, h3), t, h3)
+    num = 4 * N3 + 6 * cX * N2 + 2 * c1 * (cX * cX * h3 + c2X) + r * cX * c2X
     chi, rem = divmod(num, 24)
     if rem:
         raise NonIntegralChi(
@@ -283,35 +293,15 @@ def chi_at_twist(c: ChernData, t: int, X: ThreefoldData) -> int:
     return chi
 
 
-def _check_rank(c: ChernData, op: str) -> None:
-    if c.rank > MAX_RANK:
-        raise UnsupportedRank(f"{op} supports rank <= {MAX_RANK}, got {c.rank}")
-
-
 def twist_chern(c: ChernData, t: int, X: ThreefoldData) -> ChernData:
-    """Chern data of the sheaf twisted by O(t); ranks up to 3 only.
-
-    Generalized binomials keep the expansion consistent with Chern-character
-    conjugation down to the degenerate rank-0 case.
-    """
-    _check_rank(c, "twist_chern")
-    r, h3 = c.rank, X.h3
-    return ChernData(
-        r,
-        c.c1 + r * t,
-        c.n2 + (r - 1) * t * c.c1 * h3 + _gbinom(r, 2) * t * t * h3,
-        c.n3
-        + (r - 2) * t * c.n2
-        + _gbinom(r - 1, 2) * t * t * c.c1 * h3
-        + _gbinom(r, 3) * t**3 * h3,
-    )
+    """Chern data of the sheaf twisted by O(t), at every rank."""
+    return _chern(_ch_twist(_ch(c, X.h3), t, X.h3), X.h3)
 
 
 def dual_chern(c: ChernData) -> ChernData:
     """Formal dual: odd Chern classes flip sign.  Exact for locally free
     sheaves; rank-2 reflexive sheaves should use reflexive_dual_rank2, whose
     c3 does not flip."""
-    _check_rank(c, "dual_chern")
     return ChernData(c.rank, -c.c1, c.n2, -c.n3)
 
 
@@ -342,21 +332,20 @@ def ses_third(
         raise ArityError(
             "exactly two of the three sequence terms must be given"
         )
+    h3 = X.h3
     if b is None:
-        ch = chern_to_ch(a, X) + chern_to_ch(c, X)
-    elif a is None:
-        ch = chern_to_ch(b, X) - chern_to_ch(c, X)
+        ch = [x + y for x, y in zip(_ch(a, h3), _ch(c, h3))]
     else:
-        ch = chern_to_ch(b, X) - chern_to_ch(a, X)
-    return ch_to_chern(ch, X)
+        other = _ch(c if a is None else a, h3)
+        ch = [x - y for x, y in zip(_ch(b, h3), other)]
+    return _chern(ch, h3)
 
 
 def sum_chern(parts: list[ChernData], X: ThreefoldData) -> ChernData:
     """Whitney sum via additivity of the Chern character."""
-    ch = ChowClass.of(0)
-    for p in parts:
-        ch = ch + chern_to_ch(p, X)
-    return ch_to_chern(ch, X)
+    h3 = X.h3
+    columns = zip((0, 0, 0, 0), *(_ch(p, h3) for p in parts))
+    return _chern([sum(col) for col in columns], h3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .chow import (
     ThreefoldData,
     chi_at_twist,
     comb0,
+    dual_chern,
     line_chern,
     ses_third,
     twist_chern,
@@ -175,12 +176,12 @@ def omega_chern(p: int) -> ChernData:
     if p == 0:
         return line_chern(0)
     if p == 1:
-        return ChernData(3, -4, 6, -4)
+        return dual_chern(P3.tangent_chern)
     if p == 2:
         # second power = tangent bundle twisted by the canonical class
-        return twist_chern(ChernData(3, 4, 6, 4), -4, P3)
+        return twist_chern(P3.tangent_chern, -P3.cX, P3)
     if p == 3:
-        return line_chern(-4)
+        return line_chern(-P3.cX)
     raise DomainError(f"p = {p} out of range 0..{DIM}")
 
 
@@ -210,7 +211,7 @@ def omega1_table(lo: int, hi: int) -> CohomTable:
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
     return _filled_table(
-        ChernData(3, 4, 6, 4), "TX", lambda i, t: serre_tangent_h(i, t), lo, hi
+        P3.tangent_chern, "TX", lambda i, t: serre_tangent_h(i, t), lo, hi
     )
 
 

@@ -39,7 +39,6 @@ SING1_OTHER = "other"
 _SING1_KINDS = (SING1_EMPTY, SING1_IRREDUCIBLE_REDUCED, SING1_OTHER)
 
 Y_EQUALS_SING1 = "YEqualsSing1G"
-UNION_WITH_SING1 = "UnionWithSing1F"  # reserved: no implemented rule emits it
 CASE_SPLIT = "CaseSplit"
 
 SPLITS = "Splits"
@@ -62,11 +61,6 @@ class DistributionProfile:
     @property
     def kappa(self) -> int:
         """c1 of the twisted ideal-sheaf quotient in the defining sequence."""
-        return self.X.cX - self.f
-
-    @property
-    def lf_degree(self) -> int:
-        """Degree of the determinant of the normal sheaf; equals kappa."""
         return self.X.cX - self.f
 
     @property

@@ -25,7 +25,7 @@ class NonIntegralChi(EngineError):
 
 
 class UnsupportedRank(EngineError):
-    """Operation defined only for ranks up to 3."""
+    """Operation defined for one rank only, such as the rank-2 reflexive dual."""
 
 
 class ArityError(EngineError):

@@ -42,7 +42,6 @@ from .errors import (
     NotComputable,
     RankError,
     UnknownIdentifier,
-    UnsupportedRank,
 )
 
 
@@ -108,14 +107,11 @@ class NamedDecl:
     chern: ChernData
     cohom_hints: dict = field(default_factory=dict)  # (i, twist) -> int
 
-    def __post_init__(self):
-        if self.chern.rank > 3:
-            raise UnsupportedRank(
-                f"declared sheaf '{self.name}' has rank {self.chern.rank} > 3"
-            )
 
-
-_KEYWORDS = {"O", "TX", "Omega1", "twist", "dual", "rdual", "coker", "ker"}
+# Deepest expression tree accepted (the top node is level 1).  The evaluators
+# recurse once per level and the parser twice, well inside Python's default
+# recursion limit of 1000.
+_MAX_DEPTH = 300
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -172,62 +168,78 @@ class _Parser:
             raise DslSyntaxError(f"expected an integer, found {tok[1]!r}", tok[2])
         return int(tok[1])
 
-    def parse_expr(self) -> SheafExpr:
-        node = self.parse_term()
+    def check_depth(self, depth: int, offset: int) -> None:
+        if depth > _MAX_DEPTH:
+            raise DslSyntaxError(
+                f"expression deeper than {_MAX_DEPTH} levels", offset
+            )
+
+    # The parse methods take the depth of the node they build and return it
+    # with its height, since a "+" puts every term before it one level deeper.
+
+    def parse_expr(self, depth: int) -> tuple[SheafExpr, int]:
+        node, height = self.parse_term(depth)
         while self.peek()[:2] == ("sym", "+"):
             self.next()
-            node = Sum(node, self.parse_term())
-        return node
+            offset = self.peek()[2]
+            right, right_height = self.parse_term(depth)
+            node, height = Sum(node, right), max(height, right_height) + 1
+            self.check_depth(depth + height - 1, offset)
+        return node, height
 
-    def parse_term(self) -> SheafExpr:
+    def parse_term(self, depth: int) -> tuple[SheafExpr, int]:
         tok = self.next()
         if tok[0] != "ident":
             raise DslSyntaxError(f"expected a sheaf term, found {tok[1]!r}", tok[2])
+        self.check_depth(depth, tok[2])
         word = tok[1]
         if word == "O":
             self.expect_sym("(")
             t = self.parse_int()
             self.expect_sym(")")
-            return AtomO(t)
+            return AtomO(t), 1
         if word in ("TX", "Omega1"):
             atom = AtomTX() if word == "TX" else AtomOmega1()
             if self.peek()[:2] == ("sym", "("):
+                self.check_depth(depth + 1, tok[2])
                 self.next()
                 t = self.parse_int()
                 self.expect_sym(")")
-                return Twist(atom, t)
-            return atom
+                return Twist(atom, t), 2
+            return atom, 1
         if word == "twist":
             self.expect_sym("(")
-            base = self.parse_expr()
+            base, height = self.parse_expr(depth + 1)
             self.expect_sym(",")
             t = self.parse_int()
             self.expect_sym(")")
-            return Twist(base, t)
+            return Twist(base, t), height + 1
         if word in ("dual", "rdual"):
             self.expect_sym("(")
-            base = self.parse_expr()
+            base, height = self.parse_expr(depth + 1)
             self.expect_sym(")")
-            return Dual(base, reflexive_rank2=(word == "rdual"))
+            return Dual(base, reflexive_rank2=(word == "rdual")), height + 1
         if word in ("coker", "ker"):
             self.expect_sym("(")
-            first = self.parse_expr()
+            first, first_height = self.parse_expr(depth + 1)
             self.expect_sym("->")
-            second = self.parse_expr()
+            second, second_height = self.parse_expr(depth + 1)
             self.expect_sym(")")
+            height = max(first_height, second_height) + 1
             if word == "coker":
-                return Coker(sub=first, ambient=second)
-            return Ker(ambient=first, quotient=second)
-        return AtomNamed(word)
+                return Coker(sub=first, ambient=second), height
+            return Ker(ambient=first, quotient=second), height
+        return AtomNamed(word), 1
 
 
 def parse(src: str) -> SheafExpr:
     """Parse a sheaf expression; raises SyntaxError-named DslSyntaxError with
-    the byte offset of the first offending token."""
+    the byte offset of the first offending token, also for a tree deeper than
+    _MAX_DEPTH levels."""
     if not src.strip():
         raise DslSyntaxError("empty expression", 0)
     parser = _Parser(src)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(1)
     tok = parser.peek()
     if tok[0] != "end":
         raise DslSyntaxError(f"trailing input {tok[1]!r}", tok[2])

@@ -30,6 +30,7 @@ from sheafcalc.chow import (
 from sheafcalc.errors import (
     ArityError,
     DomainError,
+    EngineError,
     NonIntegralChernClass,
     NonIntegralChi,
     UnsupportedRank,
@@ -45,6 +46,21 @@ chern_data = st.builds(
     n3=st.integers(-(10**6), 10**6),
 )
 threefolds = st.sampled_from([P3, QUINTIC, QUADRIC])
+random_threefolds = st.builds(
+    ThreefoldData,
+    name=st.sampled_from(["x", "weird one"]),
+    h3=st.integers(1, 60),
+    cX=st.integers(-30, 30),
+    c2TX_H=st.integers(-500, 500),
+    c3TX=st.integers(-500, 500),
+)
+wide_chern_data = st.builds(
+    ChernData,
+    rank=st.integers(0, 8),
+    c1=st.integers(-(10**4), 10**4),
+    n2=st.integers(-(10**6), 10**6),
+    n3=st.integers(-(10**6), 10**6),
+)
 
 # sums of line bundles: Chern data guaranteed to come from an actual sheaf,
 # so Euler characteristics are defined on every preset
@@ -118,9 +134,11 @@ def test_twist_examples():
     assert twist_chern(c, 0, P3) == c
 
 
-def test_twist_rejects_rank_4():
-    with pytest.raises(UnsupportedRank):
-        twist_chern(ChernData(4, 0, 0, 0), 1, P3)
+@given(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       st.integers(-20, 20), threefolds)
+def test_twist_of_rank_4_is_the_sum_of_twisted_lines(ts, t, X):
+    twisted = twist_chern(sum_chern([line_chern(s) for s in ts], X), t, X)
+    assert twisted == sum_chern([line_chern(s + t) for s in ts], X)
 
 
 @given(chern_data, st.integers(-20, 20), st.integers(-20, 20), threefolds)
@@ -128,7 +146,7 @@ def test_twist_group_law(c, a, b, X):
     assert twist_chern(twist_chern(c, a, X), b, X) == twist_chern(c, a + b, X)
 
 
-@given(chern_data, st.integers(-20, 20), threefolds)
+@given(wide_chern_data, st.integers(-20, 20), threefolds)
 def test_twist_matches_character_route(c, t, X):
     # closed formulas against multiplication by exp(tH) in the graded ring
     ch = chern_to_ch(c, X) * ChowClass.exp_divisor(t)
@@ -258,28 +276,11 @@ def _chi_by_characters(c, t, X):
     return int(val)
 
 
-def _chi_outcome(chi, c, t, X):
+def _outcome(f, *args):
     try:
-        return chi(c, t, X)
-    except NonIntegralChi as exc:
-        return str(exc)
-
-
-random_threefolds = st.builds(
-    ThreefoldData,
-    name=st.sampled_from(["x", "weird one"]),
-    h3=st.integers(1, 60),
-    cX=st.integers(-30, 30),
-    c2TX_H=st.integers(-500, 500),
-    c3TX=st.integers(-500, 500),
-)
-wide_chern_data = st.builds(
-    ChernData,
-    rank=st.integers(0, 8),
-    c1=st.integers(-(10**4), 10**4),
-    n2=st.integers(-(10**6), 10**6),
-    n3=st.integers(-(10**6), 10**6),
-)
+        return f(*args)
+    except EngineError as exc:
+        return exc.name, str(exc)
 
 
 @given(st.data())
@@ -298,7 +299,7 @@ def test_chi_at_twist_matches_character_product(data):
         )
     )
     t = data.draw(st.integers(-200, 200))
-    assert _chi_outcome(chi_at_twist, c, t, X) == _chi_outcome(
+    assert _outcome(chi_at_twist, c, t, X) == _outcome(
         _chi_by_characters, c, t, X
     )
 
@@ -308,3 +309,40 @@ def test_non_integral_chi_message():
     with pytest.raises(NonIntegralChi) as info:
         chi_at_twist(ChernData(0, 0, 0, 1), 0, P3)
     assert str(info.value) == "chi = 1/2 is not an integer on 'p3'"
+
+
+# ---------------------------------------------------------------------------
+# ses_third and sum_chern add integer characters; the rational route through
+# ChowClass is kept here as the reference.
+
+
+def _ses_third_by_characters(a, b, c, X):
+    if b is None:
+        ch = chern_to_ch(a, X) + chern_to_ch(c, X)
+    elif a is None:
+        ch = chern_to_ch(b, X) - chern_to_ch(c, X)
+    else:
+        ch = chern_to_ch(b, X) - chern_to_ch(a, X)
+    return ch_to_chern(ch, X)
+
+
+def _sum_by_characters(parts, X):
+    ch = ChowClass.of(0)
+    for p in parts:
+        ch = ch + chern_to_ch(p, X)
+    return ch_to_chern(ch, X)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_ses_third_and_sum_match_character_route(data):
+    # arbitrary data: the missing term is often non-integral or of negative
+    # rank, so the error name and message are compared as well
+    X = data.draw(st.one_of(threefolds, random_threefolds))
+    terms = data.draw(st.lists(wide_chern_data, min_size=3, max_size=3))
+    terms[data.draw(st.integers(0, 2))] = None
+    assert _outcome(ses_third, *terms, X) == _outcome(
+        _ses_third_by_characters, *terms, X
+    )
+    parts = data.draw(st.lists(wide_chern_data, max_size=6))
+    assert _outcome(sum_chern, parts, X) == _outcome(_sum_by_characters, parts, X)

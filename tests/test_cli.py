@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +218,34 @@ def test_subfoliation_table(capsys):
     assert code == 0
     assert "y_class" in out and "5" in out
     assert "Splits" in out
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("sheafcalc ")
+    ]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "invariants", "moduli", "cohomology", "spectrum", "subfoliation",
+        "conncomp", "presets",
+    }
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_line_examples_run(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exprs.txt").write_text(
+        "# one expression per line\nO(1)\ncoker(O(-2) -> Omega1(1))  # F\n"
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out

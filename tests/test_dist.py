@@ -49,7 +49,7 @@ def p3_profile(d, generic=True):
 
 def test_profile_derived_quantities():
     p = p3_profile(1)
-    assert p.kappa == 3 and p.lf_degree == 3 and p.degree == 1
+    assert p.kappa == 3 and p.degree == 1
     q = DistributionProfile(QUINTIC, -2)
     assert q.kappa == 2 and q.degree is None
 

@@ -9,9 +9,10 @@ from sheafcalc.errors import (
     NotComputable,
     RankError,
     UnknownIdentifier,
-    UnsupportedRank,
 )
+from sheafcalc.cli import main
 from sheafcalc.sheafdsl import (
+    _MAX_DEPTH,
     AtomNamed,
     AtomO,
     AtomOmega1,
@@ -79,6 +80,67 @@ def test_unknown_identifier():
         chern_of(parse("twist(mystery, 3)"), P3)
 
 
+def _deep(shape, depth):
+    """An expression tree exactly `depth` levels deep in one of four shapes."""
+    if shape == "sum":
+        return " + ".join(["O(1)"] * depth)
+    if shape == "coker":
+        src = "O(0)"  # ranks alternate 1, 2, 1, ... down the chain
+        for _ in range(depth - 1):
+            src = f"coker({src} -> TX)"
+        return src
+    close = ", 1)" if shape == "twist" else ")"
+    return f"{shape}(" * (depth - 1) + "O(1)" + close * (depth - 1)
+
+
+SHAPES = ["twist", "dual", "coker", "sum"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_depth_limit_is_reachable(shape, capsys):
+    src = _deep(shape, _MAX_DEPTH)
+    e = parse(src)
+    assert pretty(e) == src
+    assert cohom_of(e, (0, 0)).chern == chern_of(e, P3)
+    assert main(["cohomology", "--sheaf", src, "--twists", "0..0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_depth_limit_is_a_syntax_error(shape, capsys):
+    src = _deep(shape, _MAX_DEPTH + 1)
+    # the offending term is the deepest leaf, or the last term of the sum
+    offset = src.rindex("O(1)") if shape == "sum" else src.index("O(")
+    with pytest.raises(DslSyntaxError) as err:
+        parse(src)
+    assert err.value.offset == offset
+    assert main(["cohomology", "--sheaf", src, "--twists", "0..0"]) == 3
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text == (
+        f"SyntaxError: expression deeper than {_MAX_DEPTH} levels "
+        f"(at byte {offset})\n"
+    )
+
+
+def test_depth_counts_every_level_on_the_way_down():
+    # a sum under twists and a shorthand twist each add to the depth
+    def twisted_sum(terms):
+        k = _MAX_DEPTH - 10
+        return "twist(" * k + " + ".join(["O(1)"] * terms) + ", 1)" * k
+
+    parse(twisted_sum(10))
+    with pytest.raises(DslSyntaxError):
+        parse(twisted_sum(11))
+    with pytest.raises(DslSyntaxError):
+        parse(_deep("dual", _MAX_DEPTH).replace("O(1)", "TX(1)"))
+    parse(_deep("dual", _MAX_DEPTH).replace("O(1)", "TX"))
+    # deep nesting far past the limit fails fast, without a RecursionError
+    for shape in SHAPES:
+        with pytest.raises(DslSyntaxError):
+            parse(_deep(shape, 3000))
+
+
 names = st.sampled_from(["E", "F_1", "G"])
 leaves = st.one_of(
     st.integers(-9, 9).map(AtomO),
@@ -133,9 +195,19 @@ def test_chern_of_on_other_threefolds():
     assert chern_of(parse("Omega1"), QUINTIC) == ChernData(3, 0, 50, 200)
 
 
-def test_twist_of_wide_sum_is_rejected():
-    with pytest.raises(UnsupportedRank):
-        chern_of(parse("twist(O(1) + O(1) + O(1) + O(1), 2)"), P3)
+def test_twist_of_wide_sum_is_the_sum_of_twists():
+    four = " + ".join(["O(1)"] * 4)
+    for src, same in [
+        (f"twist({four}, 2)", " + ".join(["O(3)"] * 4)),
+        (f"dual({four})", " + ".join(["O(-1)"] * 4)),
+    ]:
+        assert chern_of(parse(src), P3) == chern_of(parse(same), P3)
+        table = cohom_of(parse(src), (-5, 5))
+        assert table.entries == cohom_of(parse(same), (-5, 5)).entries
+        assert all(e.is_known for e in table.entries.values())
+    # declared sheaves of any rank evaluate
+    env = {"E": NamedDecl("E", ChernData(5, 5, 10, 10))}
+    assert chern_of(parse("twist(E, -1)"), P3, env) == ChernData(5, 0, 0, 0)
 
 
 decls = st.builds(
