@@ -1,9 +1,10 @@
 """Exact sheaf-cohomology dimensions on projective 3-space.
 
 Atoms are handled by the closed Bott formula; declared short exact sequences
-are handled by an interval-propagating dimension chaser over the induced long
-exact sequence.  The chaser never guesses the rank of a connecting map: when
-a rank is genuinely undetermined the answer stays an interval.
+are handled by a dimension chaser over the induced long exact sequence, in
+closed form when two terms are exact and the third unknown, by interval
+propagation otherwise.  The chaser never guesses the rank of a connecting map:
+when a rank is genuinely undetermined the answer stays an interval.
 """
 
 from __future__ import annotations
@@ -225,6 +226,11 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # propagation over these equations plus the per-sheaf Euler characteristic,
 # intersecting only, so it is sound, monotone and idempotent by construction.
 # Lower and upper bounds are kept in flat int lists, None for unbounded.
+#
+# Closed form for A, B exact and C free: with s_i = r[3i], the rank of
+# C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i and
+# B^i leaves each s_i free in [max(0, A^i - B^i), A^i] and gives C^i =
+# B^i - A^i + s_i + s_(i+1).  A free A is the same on the chain read backwards.
 
 # Each chi rule solves sheaf j's Euler characteristic for its h^pos = x[i]:
 # x[i] = sign * chi[j] + x[a] + x[b] - x[p], where a and b are its h^q with
@@ -236,6 +242,15 @@ _CHI_RULES = tuple(
     for pos in range(4)
 )
 _EMPTY = "dimension propagation derived an empty interval"
+_FREE = (0, None)  # an entry with no information
+
+
+def _check_additive(chis):
+    if chis[0] - chis[1] + chis[2] != 0:
+        # the chain's alternating sum is chi_A - chi_B + chi_C = r[0] - r[12]
+        raise Inconsistent(
+            f"Euler characteristics {tuple(chis)} are not additive"
+        )
 
 
 def _chase_single_twist(xs, chis):
@@ -243,14 +258,44 @@ def _chase_single_twist(xs, chis):
 
     xs: list of 12 (lo, hi) intervals in chain order, hi None for unbounded;
     chis: the three exact Euler characteristics.  Returns the narrowed
-    intervals.  Every narrowing is a meet in place; an empty one raises
-    Inconsistent.
+    intervals; data no exact sequence realizes raises Inconsistent.  A column
+    with two exact terms and a free first or last term is solved in closed
+    form, any other column by propagation.
     """
-    if chis[0] - chis[1] + chis[2] != 0:
-        # the chain's alternating sum is chi_A - chi_B + chi_C = r[0] - r[12]
-        raise Inconsistent(
-            f"Euler characteristics {tuple(chis)} are not additive"
-        )
+    _check_additive(chis)
+    if xs[2] == xs[5] == xs[8] == xs[11] == _FREE and _exact(xs, 0, 1):
+        return _solve_free_last(xs, chis)
+    if xs[0] == xs[3] == xs[6] == xs[9] == _FREE and _exact(xs, 1, 2):
+        # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
+        # Euler characteristics are -chi_C, -chi_B, -chi_A
+        return _solve_free_last(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
+    return _propagate(xs, chis)
+
+
+def _exact(xs, j, k):
+    """Whether the columns of terms j and k are exact values."""
+    return all(lo == hi for lo, hi in xs[j::3] + xs[k::3])
+
+
+def _solve_free_last(xs, chis):
+    """The closed form above: A, B exact and C free, chis additive."""
+    a0, a1, a2, a3 = (lo for lo, _ in xs[0::3])
+    b0, b1, b2, b3 = (lo for lo, _ in xs[1::3])
+    if a0 - a1 + a2 - a3 != chis[0] or b0 - b1 + b2 - b3 != chis[1] or a0 > b0:
+        raise Inconsistent(_EMPTY)
+    lo1, lo2, lo3 = max(0, a1 - b1), max(0, a2 - b2), max(0, a3 - b3)
+    out = list(xs)
+    out[2] = (b0 - a0 + lo1, b0 - a0 + a1)
+    out[5] = (b1 - a1 + lo1 + lo2, b1 + a2)
+    out[8] = (b2 - a2 + lo2 + lo3, b2 + a3)
+    out[11] = (b3 - a3 + lo3, b3)
+    return out
+
+
+def _propagate(xs, chis):
+    """Interval propagation over the chain: every narrowing is a meet in
+    place, and an empty one raises Inconsistent."""
+    _check_additive(chis)
     xlo = [lo for lo, _ in xs]
     xhi = [hi for _, hi in xs]
     rlo = [0] * 13

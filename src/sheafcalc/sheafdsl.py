@@ -282,40 +282,56 @@ def chern_of(
     e: SheafExpr, X: ThreefoldData = P3, env: dict[str, NamedDecl] | None = None
 ) -> ChernData:
     """Compositional Chern-data evaluation of an expression on X."""
+    return _chern_memo(e, X, env, {})
+
+
+def _chern_memo(e, X, env, memo) -> ChernData:
+    # memo maps id(node) -> Chern data within one evaluation, so a walk that
+    # asks again for a subtree it already evaluated does not recurse into it
+    found = memo.get(id(e))
+    if found is not None:
+        return found
     if isinstance(e, AtomO):
-        return line_chern(e.t)
-    if isinstance(e, AtomTX):
-        return X.tangent_chern
-    if isinstance(e, AtomOmega1):
-        return dual_chern(X.tangent_chern)
-    if isinstance(e, AtomNamed):
-        return _decl(env, e.name).chern
-    if isinstance(e, Twist):
-        return twist_chern(chern_of(e.base, X, env), e.t, X)
-    if isinstance(e, Dual):
-        base = chern_of(e.base, X, env)
+        found = line_chern(e.t)
+    elif isinstance(e, AtomTX):
+        found = X.tangent_chern
+    elif isinstance(e, AtomOmega1):
+        found = dual_chern(X.tangent_chern)
+    elif isinstance(e, AtomNamed):
+        found = _decl(env, e.name).chern
+    elif isinstance(e, Twist):
+        found = twist_chern(_chern_memo(e.base, X, env, memo), e.t, X)
+    elif isinstance(e, Dual):
+        base = _chern_memo(e.base, X, env, memo)
         if e.reflexive_rank2:
-            return reflexive_dual_rank2(base)
-        return dual_chern(base)
-    if isinstance(e, Sum):
-        return sum_chern([chern_of(e.left, X, env), chern_of(e.right, X, env)], X)
-    if isinstance(e, Coker):
-        sub = chern_of(e.sub, X, env)
-        ambient = chern_of(e.ambient, X, env)
+            found = reflexive_dual_rank2(base)
+        else:
+            found = dual_chern(base)
+    elif isinstance(e, Sum):
+        found = sum_chern(
+            [_chern_memo(e.left, X, env, memo), _chern_memo(e.right, X, env, memo)],
+            X,
+        )
+    elif isinstance(e, Coker):
+        sub = _chern_memo(e.sub, X, env, memo)
+        ambient = _chern_memo(e.ambient, X, env, memo)
         if ambient.rank - sub.rank < 0:
             raise RankError(
                 f"coker would have rank {ambient.rank - sub.rank} < 0"
             )
-        return ses_third(sub, ambient, None, X)
-    if isinstance(e, Ker):
-        ambient = chern_of(e.ambient, X, env)
-        quotient = chern_of(e.quotient, X, env)
+        found = ses_third(sub, ambient, None, X)
+    elif isinstance(e, Ker):
+        ambient = _chern_memo(e.ambient, X, env, memo)
+        quotient = _chern_memo(e.quotient, X, env, memo)
         if ambient.rank - quotient.rank < 0:
             raise RankError(
                 f"ker would have rank {ambient.rank - quotient.rank} < 0"
             )
-        return ses_third(None, ambient, quotient, X)
-    raise DomainError(f"not a sheaf expression: {e!r}")
+        found = ses_third(None, ambient, quotient, X)
+    else:
+        raise DomainError(f"not a sheaf expression: {e!r}")
+    memo[id(e)] = found
+    return found
 
 
 def _locally_free_shape(e: SheafExpr) -> bool:
@@ -358,11 +374,12 @@ def cohom_of(
     lo, hi = twist_range
     if lo > hi:
         raise DomainError(f"empty twist range {lo}..{hi}")
-    table = _cohom_walk(e, lo, hi, X, env)
+    table = _cohom_walk(e, lo, hi, X, env, {})
     return CohomTable(table.X, table.chern, table.entries, pretty(e))
 
 
-def _cohom_walk(e, lo, hi, X, env) -> CohomTable:
+def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
+    # memo is the Chern-data memo of _chern_memo, shared by the whole walk
     if isinstance(e, AtomO):
         return coh.line_table(e.t, lo, hi)
     if isinstance(e, AtomTX):
@@ -380,16 +397,16 @@ def _cohom_walk(e, lo, hi, X, env) -> CohomTable:
                 )
         return CohomTable(X, decl.chern, entries, decl.name)
     if isinstance(e, Twist):
-        inner = _cohom_walk(e.base, lo + e.t, hi + e.t, X, env)
+        inner = _cohom_walk(e.base, lo + e.t, hi + e.t, X, env, memo)
         entries = {
             (i, t - e.t): entry for (i, t), entry in inner.entries.items()
         }
         return CohomTable(X, twist_chern(inner.chern, e.t, X), entries)
     if isinstance(e, Dual):
-        base_chern = chern_of(e.base, X, env)
+        base_chern = _chern_memo(e.base, X, env, memo)
         if e.reflexive_rank2:
             shift = -base_chern.c1
-            inner = _cohom_walk(e.base, lo + shift, hi + shift, X, env)
+            inner = _cohom_walk(e.base, lo + shift, hi + shift, X, env, memo)
             entries = {
                 (i, t - shift): entry for (i, t), entry in inner.entries.items()
             }
@@ -397,7 +414,7 @@ def _cohom_walk(e, lo, hi, X, env) -> CohomTable:
         chern = dual_chern(base_chern)
         if _locally_free_shape(e.base):
             # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
-            inner = _cohom_walk(e.base, -hi - 4, -lo - 4, X, env)
+            inner = _cohom_walk(e.base, -hi - 4, -lo - 4, X, env, memo)
             entries = {
                 (3 - i, -t - 4): entry
                 for (i, t), entry in inner.entries.items()
@@ -406,20 +423,20 @@ def _cohom_walk(e, lo, hi, X, env) -> CohomTable:
         # duals of non-locally-free shapes get no dimension information
         return CohomTable(X, chern, {})
     if isinstance(e, Sum):
-        left = _cohom_walk(e.left, lo, hi, X, env)
-        right = _cohom_walk(e.right, lo, hi, X, env)
+        left = _cohom_walk(e.left, lo, hi, X, env, memo)
+        right = _cohom_walk(e.right, lo, hi, X, env, memo)
         chern = sum_chern([left.chern, right.chern], X)
         return _add_tables(left, right, chern, "")
     if isinstance(e, (Coker, Ker)):
-        chern = chern_of(e, X, env)  # also performs the rank check
+        chern = _chern_memo(e, X, env, memo)  # also performs the rank check
         if isinstance(e, Coker):
-            ta = _cohom_walk(e.sub, lo, hi, X, env)
-            tb = _cohom_walk(e.ambient, lo, hi, X, env)
+            ta = _cohom_walk(e.sub, lo, hi, X, env, memo)
+            tb = _cohom_walk(e.ambient, lo, hi, X, env, memo)
             tc = CohomTable(X, chern, {})
             return les_chase((ta, tb, tc))[2]
         ta = CohomTable(X, chern, {})
-        tb = _cohom_walk(e.ambient, lo, hi, X, env)
-        tc = _cohom_walk(e.quotient, lo, hi, X, env)
+        tb = _cohom_walk(e.ambient, lo, hi, X, env, memo)
+        tc = _cohom_walk(e.quotient, lo, hi, X, env, memo)
         return les_chase((ta, tb, tc))[0]
     raise DomainError(f"not a sheaf expression: {e!r}")
 

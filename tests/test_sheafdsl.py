@@ -2,10 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafcalc.chow import P3, QUINTIC, ChernData, chern_to_ch, chi_at_twist
-from sheafcalc.cohomology import DimEntry, generic_dist_cohom
+from sheafcalc import sheafdsl
+from sheafcalc.chow import (
+    P3,
+    QUINTIC,
+    ChernData,
+    chern_to_ch,
+    chi_at_twist,
+    ses_third,
+)
+from sheafcalc.cohomology import (
+    CohomTable,
+    DimEntry,
+    generic_dist_cohom,
+    les_chase,
+    line_table,
+    tangent_table,
+)
 from sheafcalc.errors import (
     DslSyntaxError,
+    Inconsistent,
     NotComputable,
     RankError,
     UnknownIdentifier,
@@ -139,6 +155,78 @@ def test_depth_counts_every_level_on_the_way_down():
     for shape in SHAPES:
         with pytest.raises(DslSyntaxError):
             parse(_deep(shape, 3000))
+
+
+def _chain(leaf, wrapper, times):
+    for _ in range(times):
+        leaf = wrapper.format(leaf)
+    return leaf
+
+
+# (leaf, its depth, wrapper, the levels one wrapper adds)
+CHAINS = [
+    ("O(-500)", 1, "coker({} -> TX)", 1),
+    ("O(0)", 1, "coker({} -> TX)", 1),
+    ("O(0)", 1, "ker({} + TX -> O(4))", 2),
+    ("O(2) + O(0)", 2, "rdual(coker(O(-1) -> {} + O(0)))", 4),
+]
+
+
+@pytest.mark.parametrize("leaf,leaf_depth,wrapper,levels", CHAINS)
+def test_cohom_of_evaluates_chern_data_once_per_node(
+    leaf, leaf_depth, wrapper, levels, monkeypatch
+):
+    # every coker, ker and dual in the walk needs its subtree's Chern data;
+    # computing it again at each level made cohom_of quadratic in depth
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ses_third(*args)
+
+    monkeypatch.setattr(sheafdsl, "ses_third", counted)
+    times = (_MAX_DEPTH - 1 - leaf_depth) // levels
+    depth = leaf_depth + times * levels
+    assert depth > _MAX_DEPTH - 1 - levels
+    e = parse(_chain(leaf, wrapper, times))
+    if leaf == "O(-500)":
+        # no exact sequence realizes this chain past a few levels
+        with pytest.raises(Inconsistent):
+            cohom_of(e, (0, 0))
+    else:
+        cohom_of(e, (0, 0))
+    assert 0 < len(calls) <= depth
+
+
+def test_deep_coker_chain_matches_the_sequence_chased_step_by_step():
+    # at depth 75 the walk gives what chasing each sequence in turn gives
+    lo, hi = -3, 3
+    expected = line_table(0, lo, hi)
+    for _ in range(74):
+        tx = tangent_table(lo, hi)
+        quotient = CohomTable(P3, ses_third(expected.chern, tx.chern, None, P3), {})
+        expected = les_chase((expected, tx, quotient))[2]
+    table = cohom_of(parse(_chain("O(0)", "coker({} -> TX)", 74)), (lo, hi))
+    assert table.chern == expected.chern
+    assert table.entries == expected.entries
+
+
+@pytest.mark.parametrize(
+    "leaf,leaf_depth,error,message",
+    [
+        ("O(-500)", 1, Inconsistent, "dimension propagation derived an empty interval"),
+        ("coker(O(0) + O(0) -> O(1))", 3, RankError, "coker would have rank -1 < 0"),
+        ("coker(O(0) -> mystery)", 2, UnknownIdentifier,
+         "no declaration for sheaf 'mystery'"),
+    ],
+)
+def test_deep_coker_chain_errors(leaf, leaf_depth, error, message):
+    # the Chern data of a coker is evaluated before its children are walked,
+    # so a rank error or an unknown name deep down wins over a chase failure
+    src = _chain(leaf, "coker({} -> TX)", 75 - leaf_depth)
+    with pytest.raises(error) as err:
+        cohom_of(parse(src), (0, 0))
+    assert str(err.value) == message
 
 
 names = st.sampled_from(["E", "F_1", "G"])
