@@ -282,79 +282,66 @@ def chern_of(
     e: SheafExpr, X: ThreefoldData = P3, env: dict[str, NamedDecl] | None = None
 ) -> ChernData:
     """Compositional Chern-data evaluation of an expression on X."""
-    return _chern_memo(e, X, env, {})
+    return _facts(e, X, env, {})[0]
 
 
-def _chern_memo(e, X, env, memo) -> ChernData:
-    # memo maps id(node) -> Chern data within one evaluation, so a walk that
-    # asks again for a subtree it already evaluated does not recurse into it
+def _facts(e, X, env, memo) -> tuple[ChernData, bool]:
+    # The Chern data of a node and whether it is locally free by construction,
+    # so that Serre duality may be applied to its plain dual.  memo maps
+    # id(node) -> facts within one call, so each node is evaluated once.
     found = memo.get(id(e))
     if found is not None:
         return found
     if isinstance(e, AtomO):
-        found = line_chern(e.t)
+        found = line_chern(e.t), True
     elif isinstance(e, AtomTX):
-        found = X.tangent_chern
+        found = X.tangent_chern, True
     elif isinstance(e, AtomOmega1):
-        found = dual_chern(X.tangent_chern)
+        found = dual_chern(X.tangent_chern), True
     elif isinstance(e, AtomNamed):
-        found = _decl(env, e.name).chern
+        found = _decl(env, e.name).chern, False
     elif isinstance(e, Twist):
-        found = twist_chern(_chern_memo(e.base, X, env, memo), e.t, X)
+        base, free = _facts(e.base, X, env, memo)
+        found = twist_chern(base, e.t, X), free
     elif isinstance(e, Dual):
-        base = _chern_memo(e.base, X, env, memo)
+        base, free = _facts(e.base, X, env, memo)
         if e.reflexive_rank2:
-            found = reflexive_dual_rank2(base)
+            found = reflexive_dual_rank2(base), False
         else:
-            found = dual_chern(base)
+            found = dual_chern(base), free
     elif isinstance(e, Sum):
-        found = sum_chern(
-            [_chern_memo(e.left, X, env, memo), _chern_memo(e.right, X, env, memo)],
-            X,
-        )
+        left, left_free = _facts(e.left, X, env, memo)
+        right, right_free = _facts(e.right, X, env, memo)
+        found = sum_chern([left, right], X), left_free and right_free
     elif isinstance(e, Coker):
-        sub = _chern_memo(e.sub, X, env, memo)
-        ambient = _chern_memo(e.ambient, X, env, memo)
+        sub = _facts(e.sub, X, env, memo)[0]
+        ambient = _facts(e.ambient, X, env, memo)[0]
         if ambient.rank - sub.rank < 0:
             raise RankError(
                 f"coker would have rank {ambient.rank - sub.rank} < 0"
             )
-        found = ses_third(sub, ambient, None, X)
+        found = ses_third(sub, ambient, None, X), False
     elif isinstance(e, Ker):
-        ambient = _chern_memo(e.ambient, X, env, memo)
-        quotient = _chern_memo(e.quotient, X, env, memo)
+        ambient = _facts(e.ambient, X, env, memo)[0]
+        quotient = _facts(e.quotient, X, env, memo)[0]
         if ambient.rank - quotient.rank < 0:
             raise RankError(
                 f"ker would have rank {ambient.rank - quotient.rank} < 0"
             )
-        found = ses_third(None, ambient, quotient, X)
+        found = ses_third(None, ambient, quotient, X), False
     else:
         raise DomainError(f"not a sheaf expression: {e!r}")
     memo[id(e)] = found
     return found
 
 
-def _locally_free_shape(e: SheafExpr) -> bool:
-    """Whether the expression is locally free by construction, so Serre
-    duality may be applied to its plain dual."""
-    if isinstance(e, (AtomO, AtomTX, AtomOmega1)):
-        return True
-    if isinstance(e, Twist):
-        return _locally_free_shape(e.base)
-    if isinstance(e, Dual):
-        return not e.reflexive_rank2 and _locally_free_shape(e.base)
-    if isinstance(e, Sum):
-        return _locally_free_shape(e.left) and _locally_free_shape(e.right)
-    return False
-
-
-def _add_tables(a: CohomTable, b: CohomTable, chern, label) -> CohomTable:
+def _add_tables(a: CohomTable, b: CohomTable, chern) -> CohomTable:
     entries = {}
     for key in sorted(set(a.entries) | set(b.entries)):
         entries[key] = a.entries.get(key, DimEntry.unknown()) + b.entries.get(
             key, DimEntry.unknown()
         )
-    return CohomTable(a.X, chern, entries, label)
+    return CohomTable(a.X, chern, entries)
 
 
 def cohom_of(
@@ -379,7 +366,9 @@ def cohom_of(
 
 
 def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
-    # memo is the Chern-data memo of _chern_memo, shared by the whole walk
+    # memo is the _facts memo of the whole call.  A node's facts are read
+    # where its Chern data decides which error is raised first: before the
+    # children at coker, ker and dual, after them at twist and sum.
     if isinstance(e, AtomO):
         return coh.line_table(e.t, lo, hi)
     if isinstance(e, AtomTX):
@@ -397,22 +386,16 @@ def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
                 )
         return CohomTable(X, decl.chern, entries, decl.name)
     if isinstance(e, Twist):
-        inner = _cohom_walk(e.base, lo + e.t, hi + e.t, X, env, memo)
-        entries = {
-            (i, t - e.t): entry for (i, t), entry in inner.entries.items()
-        }
-        return CohomTable(X, twist_chern(inner.chern, e.t, X), entries)
+        entries = _shifted_entries(e.base, e.t, lo, hi, X, env, memo)
+        return CohomTable(X, _facts(e, X, env, memo)[0], entries)
     if isinstance(e, Dual):
-        base_chern = _chern_memo(e.base, X, env, memo)
+        base_chern = _facts(e.base, X, env, memo)[0]
         if e.reflexive_rank2:
-            shift = -base_chern.c1
-            inner = _cohom_walk(e.base, lo + shift, hi + shift, X, env, memo)
-            entries = {
-                (i, t - shift): entry for (i, t), entry in inner.entries.items()
-            }
-            return CohomTable(X, reflexive_dual_rank2(base_chern), entries)
-        chern = dual_chern(base_chern)
-        if _locally_free_shape(e.base):
+            # F* = F(-c1) for a rank-2 reflexive F
+            entries = _shifted_entries(e.base, -base_chern.c1, lo, hi, X, env, memo)
+            return CohomTable(X, _facts(e, X, env, memo)[0], entries)
+        chern, locally_free = _facts(e, X, env, memo)
+        if locally_free:
             # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
             inner = _cohom_walk(e.base, -hi - 4, -lo - 4, X, env, memo)
             entries = {
@@ -425,10 +408,9 @@ def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
     if isinstance(e, Sum):
         left = _cohom_walk(e.left, lo, hi, X, env, memo)
         right = _cohom_walk(e.right, lo, hi, X, env, memo)
-        chern = sum_chern([left.chern, right.chern], X)
-        return _add_tables(left, right, chern, "")
+        return _add_tables(left, right, _facts(e, X, env, memo)[0])
     if isinstance(e, (Coker, Ker)):
-        chern = _chern_memo(e, X, env, memo)  # also performs the rank check
+        chern = _facts(e, X, env, memo)[0]  # also performs the rank check
         if isinstance(e, Coker):
             ta = _cohom_walk(e.sub, lo, hi, X, env, memo)
             tb = _cohom_walk(e.ambient, lo, hi, X, env, memo)
@@ -439,6 +421,12 @@ def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
         tc = _cohom_walk(e.quotient, lo, hi, X, env, memo)
         return les_chase((ta, tb, tc))[0]
     raise DomainError(f"not a sheaf expression: {e!r}")
+
+
+def _shifted_entries(base, shift, lo, hi, X, env, memo) -> dict:
+    # the entries of base(shift) over lo..hi, read off base's walk
+    inner = _cohom_walk(base, lo + shift, hi + shift, X, env, memo)
+    return {(i, t - shift): entry for (i, t), entry in inner.entries.items()}
 
 
 def parse_batch(text: str) -> list[SheafExpr]:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafcalc.chow import QUINTIC, threefold_to_dict
 from sheafcalc.cli import main
+from sheafcalc.errors import EngineError
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +254,84 @@ def test_readme_command_line_examples_run(argv, capsys, tmp_path, monkeypatch):
     )
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and out
+
+
+def _engine_error_names(cls=EngineError):
+    names = {cls.name}
+    for sub in cls.__subclasses__():
+        names |= _engine_error_names(sub)
+    return names
+
+
+ENGINE_ERROR_NAMES = _engine_error_names()
+
+
+def _expression_text(depth):
+    # expression text at most `depth` levels deep, with some faults mixed in
+    leaf = st.one_of(
+        st.integers(-6, 6).map("O({})".format),
+        st.sampled_from(["TX", "Omega1", "mystery"]),
+        st.tuples(st.sampled_from(["TX", "Omega1"]), st.integers(-6, 6)).map(
+            lambda p: f"{p[0]}({p[1]})"
+        ),
+        # rank-2 shapes, so that some rduals are defined
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+            lambda p: f"rdual(O({p[0]}) + O({p[1]}))"
+        ),
+        st.integers(-3, 3).map("rdual(coker(O(-1) -> TX({})))".format),
+    )
+    if depth <= 4:  # the deepest leaf, rdual(coker(O(-1) -> TX(t))), has 4
+        return leaf
+    sub = _expression_text(depth - 1)
+    # rdual of an arbitrary term is mostly UnsupportedRank, so it is rarer
+    unary = st.sampled_from(
+        ["twist({}, 1)", "twist({}, -3)", "dual({})", "dual({})", "rdual({})"]
+    )
+    return st.one_of(
+        leaf,
+        st.tuples(unary, sub).map(lambda p: p[0].format(p[1])),
+        st.tuples(sub, sub).map(lambda p: f"coker({p[0]} -> {p[1]})"),
+        st.tuples(sub, sub).map(lambda p: f"ker({p[0]} -> {p[1]})"),
+        st.tuples(sub, sub).map(" + ".join),
+    )
+
+
+def _run_cohomology(sheaf):
+    # hypothesis runs many examples per test, so capsys cannot capture them
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["cohomology", "--sheaf", sheaf, "--twists", "-2..2"])
+        except SystemExit as exc:  # argparse refuses the argument vector
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, out, err):
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == "" and out
+    if code == 3:
+        # exactly one stderr line, the typed error name and its message
+        assert out == ""
+        line, newline, rest = err.partition("\n")
+        assert newline and not rest
+        name, sep, message = line.partition(": ")
+        assert sep and message and name in ENGINE_ERROR_NAMES
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from(list("OTXmega1dulkrcotwis(),+->-0123 "))),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_random_sheaf_text_exits_with_a_documented_code(sheaf):
+    _assert_documented_exit(*_run_cohomology(sheaf))
+
+
+@given(_expression_text(8))
+@settings(max_examples=100, deadline=None)
+def test_nested_expressions_exit_with_a_documented_code(sheaf):
+    _assert_documented_exit(*_run_cohomology(sheaf))

@@ -169,6 +169,12 @@ CHAINS = [
     ("O(0)", 1, "coker({} -> TX)", 1),
     ("O(0)", 1, "ker({} + TX -> O(4))", 2),
     ("O(2) + O(0)", 2, "rdual(coker(O(-1) -> {} + O(0)))", 4),
+    ("TX", 1, "dual({})", 1),
+    ("TX", 1, "twist({}, 1)", 1),
+]
+
+CHERN_HELPERS = [
+    "twist_chern", "dual_chern", "sum_chern", "reflexive_dual_rank2", "ses_third",
 ]
 
 
@@ -180,11 +186,15 @@ def test_cohom_of_evaluates_chern_data_once_per_node(
     # computing it again at each level made cohom_of quadratic in depth
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ses_third(*args)
+    def counted(helper):
+        def call(*args):
+            calls.append(args)
+            return helper(*args)
 
-    monkeypatch.setattr(sheafdsl, "ses_third", counted)
+        return call
+
+    for name in CHERN_HELPERS:
+        monkeypatch.setattr(sheafdsl, name, counted(getattr(sheafdsl, name)))
     times = (_MAX_DEPTH - 1 - leaf_depth) // levels
     depth = leaf_depth + times * levels
     assert depth > _MAX_DEPTH - 1 - levels
@@ -227,6 +237,34 @@ def test_deep_coker_chain_errors(leaf, leaf_depth, error, message):
     with pytest.raises(error) as err:
         cohom_of(parse(src), (0, 0))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        ("coker(O(1) -> O(0)) + mystery",
+         "Inconsistent: dimension propagation derived an empty interval"),
+        ("mystery + coker(O(1) -> O(0))",
+         "UnknownIdentifier: no declaration for sheaf 'mystery'"),
+        ("rdual(coker(O(1) -> O(0)))",
+         "Inconsistent: dimension propagation derived an empty interval"),
+        ("coker(O(0) + O(0) -> coker(O(1) -> O(0)))",
+         "RankError: coker would have rank -2 < 0"),
+        ("dual(coker(O(1) -> O(0)))", "? ? ? ?"),
+    ],
+)
+def test_walk_order_decides_which_error_wins(src, expected):
+    # a sum's Chern data is read after both terms are walked, an rdual's after
+    # its base is walked, and a coker's before; coker(O(1) -> O(0)) is
+    # Chern-valid but no exact sequence realizes it, and a dual of a shape
+    # that is not locally free is not chased at all
+    try:
+        table = cohom_of(parse(src), (0, 0))
+    except (Inconsistent, RankError, UnknownIdentifier) as exc:
+        outcome = f"{exc.name}: {exc}"
+    else:
+        outcome = " ".join(str(table.entry(i, 0)) for i in range(4))
+    assert outcome == expected
 
 
 names = st.sampled_from(["E", "F_1", "G"])
