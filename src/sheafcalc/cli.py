@@ -103,7 +103,11 @@ def _parse_twists(text: str, parser) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
         parser.error(f"--twists must look like lo..hi, got '{text}'")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        parser.error(f"--twists bounds have more than {limit} digits")
     if lo > hi:
         parser.error(f"--twists range {text} is empty")
     return lo, hi
@@ -215,16 +219,8 @@ def _cohom_payload(expr, twists, X):
     for t in range(lo, hi + 1):
         col = table.column(t)
         chi = table.chi(t)
-        rows_json.append(
-            {
-                "twist": t,
-                "h0": _entry_json(col[0]),
-                "h1": _entry_json(col[1]),
-                "h2": _entry_json(col[2]),
-                "h3": _entry_json(col[3]),
-                "chi": chi,
-            }
-        )
+        cells = {f"h{i}": _entry_json(e) for i, e in enumerate(col)}
+        rows_json.append({"twist": t, **cells, "chi": chi})
         rows_txt.append([str(t)] + [str(e) for e in col] + [str(chi)])
     payload = {
         "expression": pretty(expr),
@@ -457,10 +453,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_twist_values(list(argv)))
     try:
         payload, rows = args.handler(args, parser)
+        document = OutputDocument(args.format, payload, rows).render()
     except EngineError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(OutputDocument(args.format, payload, rows).render())
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        print(f"{NotComputable.name}: {message}", file=sys.stderr)
+        return 3
+    sys.stdout.write(document)
     return 0
 
 

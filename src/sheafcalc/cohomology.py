@@ -9,7 +9,7 @@ when a rank is genuinely undetermined the answer stays an interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chow import (
     P3,
@@ -92,6 +92,7 @@ class DimEntry:
 
 
 _UNKNOWN = DimEntry(0, None)  # immutable, so one instance serves every miss
+_UNKNOWN_COLUMN = (_UNKNOWN,) * (DIM + 1)
 
 
 def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
@@ -102,35 +103,59 @@ def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
     return DimEntry(lo, hi)
 
 
-@dataclass
+@dataclass(init=False)
 class CohomTable:
-    """Map (i, twist) -> DimEntry for one sheaf, with its Chern data attached.
+    """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
-    The Chern data makes the Euler characteristic of every twist available to
-    the chaser as an exact cross-check.
+    columns[k] is the column (h^0, .., h^3) at twist lo + k; entries outside
+    that run are unknown.  CohomTable(X, chern, entries) reads a map (i, twist)
+    -> DimEntry, a missing key as unknown.  The Chern data gives the chaser the
+    Euler characteristic of every twist as an exact cross-check.
     """
 
     X: ThreefoldData
     chern: ChernData
-    entries: dict[tuple[int, int], DimEntry] = field(default_factory=dict)
-    label: str = ""
+    lo: int  # 0 when there are no columns, so that equal data compare equal
+    columns: list[tuple[DimEntry, ...]]  # shared between tables, never mutated
+
+    def __init__(self, X: ThreefoldData, chern: ChernData, entries=None):
+        self.X, self.chern, self.lo, self.columns = X, chern, 0, []
+        if entries:
+            twists = [t for _, t in entries]
+            self.lo = min(twists)
+            self.columns = [
+                tuple(entries.get((i, t), _UNKNOWN) for i in range(DIM + 1))
+                for t in range(self.lo, max(twists) + 1)
+            ]
+
+    @classmethod
+    def of_columns(cls, X, chern, lo: int, columns: list) -> "CohomTable":
+        table = cls(X, chern)
+        if columns:
+            table.lo, table.columns = lo, columns
+        return table
+
+    @property
+    def entries(self) -> dict[tuple[int, int], DimEntry]:
+        cols = zip(self.twists(), self.columns)
+        return {(i, t): e for t, col in cols for i, e in enumerate(col)}
 
     def entry(self, i: int, t: int) -> DimEntry:
-        return self.entries.get((i, t), _UNKNOWN)
+        return self.column(t)[i]
 
     def twists(self) -> list[int]:
-        return sorted({t for (_, t) in self.entries})
+        return list(range(self.lo, self.lo + len(self.columns)))
 
     def chi(self, t: int) -> int:
         return chi_at_twist(self.chern, t, self.X)
 
     def column(self, t: int) -> tuple[DimEntry, ...]:
-        return tuple(self.entry(i, t) for i in range(DIM + 1))
+        k = t - self.lo
+        return self.columns[k] if 0 <= k < len(self.columns) else _UNKNOWN_COLUMN
 
     def check_chi(self) -> None:
         """Raise Inconsistent if an all-known column contradicts chi."""
-        for t in self.twists():
-            col = self.column(t)
+        for t, col in zip(self.twists(), self.columns):
             if all(e.is_known for e in col):
                 alt = sum((-1) ** i * col[i].value for i in range(DIM + 1))
                 if alt != self.chi(t):
@@ -190,30 +215,25 @@ def omega_chern(p: int) -> ChernData:
 # Ready-made all-known tables for the atoms of the expression language.
 
 
-def _filled_table(chern, label, values, lo, hi) -> CohomTable:
-    entries = {}
-    for t in range(lo, hi + 1):
-        for i in range(DIM + 1):
-            entries[(i, t)] = DimEntry.known(values(i, t))
-    return CohomTable(P3, chern, entries, label)
+def _filled_table(chern, h, lo, hi) -> CohomTable:
+    # the all-known table with entry h(i, t) at each i and lo <= t <= hi
+    columns = [
+        tuple(DimEntry.known(h(i, t)) for i in range(DIM + 1))
+        for t in range(lo, hi + 1)
+    ]
+    return CohomTable.of_columns(P3, chern, lo, columns)
 
 
 def line_table(s: int, lo: int, hi: int) -> CohomTable:
-    return _filled_table(
-        line_chern(s), f"O({s})", lambda i, t: bott_h(0, i, s + t), lo, hi
-    )
+    return _filled_table(line_chern(s), lambda i, t: bott_h(0, i, s + t), lo, hi)
 
 
 def omega1_table(lo: int, hi: int) -> CohomTable:
-    return _filled_table(
-        omega_chern(1), "Omega1", lambda i, t: bott_h(1, i, t), lo, hi
-    )
+    return _filled_table(omega_chern(1), lambda i, t: bott_h(1, i, t), lo, hi)
 
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
-    return _filled_table(
-        P3.tangent_chern, "TX", lambda i, t: serre_tangent_h(i, t), lo, hi
-    )
+    return _filled_table(P3.tangent_chern, serre_tangent_h, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +383,25 @@ def les_chase(
     sequence.
     """
     ta, tb, tc = tables
-    X = ta.X
-    if not (tb.X == X and tc.X == X):
+    if not ta.X == tb.X == tc.X:
         raise DomainError("the three tables must live on the same threefold")
-    twists = sorted({t for table in tables for t in table.twists()})
-    out = [dict(table.entries) for table in tables]
-    for t in twists:
-        column = [table.entry(i, t) for i in range(DIM + 1) for table in tables]
+    # the twists of all three tables, which may have none
+    twists = [t for table in tables for t in table.twists()]
+    lo = min(twists, default=0)
+    chains = []
+    for t in range(lo, max(twists, default=-1) + 1):
+        # chain order A^0, B^0, C^0, A^1, ...
+        chain = [e for es in zip(ta.column(t), tb.column(t), tc.column(t)) for e in es]
         chis = tuple(table.chi(t) for table in tables)
-        narrowed = _chase_single_twist([(e.lo, e.hi) for e in column], chis)
-        for k, (lo, hi) in enumerate(narrowed):
-            e = column[k]
-            if lo != e.lo or hi != e.hi:
-                e = _entry_of_interval(lo, hi)
-            out[k % 3][(k // 3, t)] = e
+        xs = [(e.lo, e.hi) for e in chain]
+        # keep every entry the chase did not change
+        chains.append([
+            e if x == iv else _entry_of_interval(*iv)
+            for e, x, iv in zip(chain, xs, _chase_single_twist(xs, chis))
+        ])
     return tuple(
-        CohomTable(table.X, table.chern, entries, table.label)
-        for table, entries in zip(tables, out)
+        CohomTable.of_columns(ta.X, table.chern, lo, [tuple(c[j::3]) for c in chains])
+        for j, table in enumerate(tables)
     )
 
 
@@ -394,20 +416,10 @@ def dist_sequence_tables(d: int, lo: int, hi: int) -> tuple[CohomTable, CohomTab
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     ta = line_table(-2 * d, lo, hi)
-    tb = _shifted_omega1_table(2 - d, lo, hi)
-    chern_f = ses_third(ta.chern, tb.chern, None, P3)
-    tc = CohomTable(P3, chern_f, {}, f"F(d={d})")
+    tb = omega1_table(lo + 2 - d, hi + 2 - d)  # Omega1(2-d) over lo..hi
+    tb = CohomTable.of_columns(P3, twist_chern(tb.chern, 2 - d, P3), lo, tb.columns)
+    tc = CohomTable(P3, ses_third(ta.chern, tb.chern, None, P3))
     return ta, tb, tc
-
-
-def _shifted_omega1_table(s: int, lo: int, hi: int) -> CohomTable:
-    return _filled_table(
-        twist_chern(omega_chern(1), s, P3),
-        f"Omega1({s})",
-        lambda i, t: bott_h(1, i, s + t),
-        lo,
-        hi,
-    )
 
 
 def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
@@ -427,7 +439,5 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
         result[2] = DimEntry.known(comb0(2 * d - p - 1, 3))
         result[3] = DimEntry.known(0)
         return result
-    chased = les_chase(dist_sequence_tables(d, p, p))[2]
-    result[2] = chased.entry(2, p)
-    result[3] = chased.entry(3, p)
+    result[2], result[3] = les_chase(dist_sequence_tables(d, p, p))[2].column(p)[2:]
     return result

@@ -21,6 +21,7 @@ evaluates the numerical consequences and never checks that a map does.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from . import cohomology as coh
@@ -166,7 +167,11 @@ class _Parser:
         tok = self.next()
         if tok[0] != "int":
             raise DslSyntaxError(f"expected an integer, found {tok[1]!r}", tok[2])
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts
+            message = f"integer has more than {sys.get_int_max_str_digits()} digits"
+            raise DslSyntaxError(message, tok[2]) from None
 
     def check_depth(self, depth: int, offset: int) -> None:
         if depth > _MAX_DEPTH:
@@ -335,15 +340,6 @@ def _facts(e, X, env, memo) -> tuple[ChernData, bool]:
     return found
 
 
-def _add_tables(a: CohomTable, b: CohomTable, chern) -> CohomTable:
-    entries = {}
-    for key in sorted(set(a.entries) | set(b.entries)):
-        entries[key] = a.entries.get(key, DimEntry.unknown()) + b.entries.get(
-            key, DimEntry.unknown()
-        )
-    return CohomTable(a.X, chern, entries)
-
-
 def cohom_of(
     e: SheafExpr,
     twist_range: tuple[int, int],
@@ -354,18 +350,19 @@ def cohom_of(
 
     Entries are exact at atoms (Bott formula) and propagated through declared
     sequences by the dimension chaser; whatever a connecting map leaves
-    undetermined stays an interval.  Only available on P^3.
+    undetermined stays an interval.  Only available on P^3, so the walk runs
+    on P3 whatever name X carries.
     """
     if not X.is_p3:
         raise NotComputable(f"cohomology tables are only exact on p3, not '{X.name}'")
     lo, hi = twist_range
     if lo > hi:
         raise DomainError(f"empty twist range {lo}..{hi}")
-    table = _cohom_walk(e, lo, hi, X, env, {})
-    return CohomTable(table.X, table.chern, table.entries, pretty(e))
+    return _cohom_walk(e, lo, hi, env, {})
 
 
-def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
+def _cohom_walk(e, lo, hi, env, memo) -> CohomTable:
+    # Every table of the walk has a column at each twist lo..hi, or none.
     # memo is the _facts memo of the whole call.  A node's facts are read
     # where its Chern data decides which error is raised first: before the
     # children at coker, ker and dual, after them at twist and sum.
@@ -377,56 +374,44 @@ def _cohom_walk(e, lo, hi, X, env, memo) -> CohomTable:
         return coh.omega1_table(lo, hi)
     if isinstance(e, AtomNamed):
         decl = _decl(env, e.name)
-        entries = {}
+        columns = []
         for t in range(lo, hi + 1):
-            for i in range(4):
-                hint = decl.cohom_hints.get((i, t))
-                entries[(i, t)] = (
-                    DimEntry.unknown() if hint is None else DimEntry.known(hint)
-                )
-        return CohomTable(X, decl.chern, entries, decl.name)
-    if isinstance(e, Twist):
-        entries = _shifted_entries(e.base, e.t, lo, hi, X, env, memo)
-        return CohomTable(X, _facts(e, X, env, memo)[0], entries)
+            hints = (decl.cohom_hints.get((i, t)) for i in range(4))
+            columns.append(tuple(
+                DimEntry.unknown() if n is None else DimEntry.known(n) for n in hints
+            ))
+        return CohomTable.of_columns(P3, decl.chern, lo, columns)
+    if isinstance(e, Twist) or isinstance(e, Dual) and e.reflexive_rank2:
+        # a twist, or F* = F(-c1) for a rank-2 reflexive F: the base's columns
+        shift = e.t if isinstance(e, Twist) else -_facts(e.base, P3, env, memo)[0].c1
+        base = _cohom_walk(e.base, lo + shift, hi + shift, env, memo)
+        return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, base.columns)
     if isinstance(e, Dual):
-        base_chern = _facts(e.base, X, env, memo)[0]
-        if e.reflexive_rank2:
-            # F* = F(-c1) for a rank-2 reflexive F
-            entries = _shifted_entries(e.base, -base_chern.c1, lo, hi, X, env, memo)
-            return CohomTable(X, _facts(e, X, env, memo)[0], entries)
-        chern, locally_free = _facts(e, X, env, memo)
-        if locally_free:
-            # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
-            inner = _cohom_walk(e.base, -hi - 4, -lo - 4, X, env, memo)
-            entries = {
-                (3 - i, -t - 4): entry
-                for (i, t), entry in inner.entries.items()
-            }
-            return CohomTable(X, chern, entries)
-        # duals of non-locally-free shapes get no dimension information
-        return CohomTable(X, chern, {})
+        chern, locally_free = _facts(e, P3, env, memo)
+        if not locally_free:
+            # duals of non-locally-free shapes get no dimension information
+            return CohomTable(P3, chern)
+        # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
+        base = _cohom_walk(e.base, -hi - 4, -lo - 4, env, memo)
+        columns = [column[::-1] for column in base.columns[::-1]]
+        return CohomTable.of_columns(P3, chern, lo, columns)
     if isinstance(e, Sum):
-        left = _cohom_walk(e.left, lo, hi, X, env, memo)
-        right = _cohom_walk(e.right, lo, hi, X, env, memo)
-        return _add_tables(left, right, _facts(e, X, env, memo)[0])
+        left = _cohom_walk(e.left, lo, hi, env, memo)
+        right = _cohom_walk(e.right, lo, hi, env, memo)
+        # a side with no columns adds unknown entries
+        columns = [
+            tuple(a + b for a, b in zip(left.column(t), right.column(t)))
+            for t in range(lo, lo + max(len(left.columns), len(right.columns)))
+        ]
+        return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, columns)
     if isinstance(e, (Coker, Ker)):
-        chern = _facts(e, X, env, memo)[0]  # also performs the rank check
+        blank = CohomTable(P3, _facts(e, P3, env, memo)[0])  # also the rank check
+        ends = (e.sub, e.ambient) if isinstance(e, Coker) else (e.ambient, e.quotient)
+        first, second = (_cohom_walk(end, lo, hi, env, memo) for end in ends)
         if isinstance(e, Coker):
-            ta = _cohom_walk(e.sub, lo, hi, X, env, memo)
-            tb = _cohom_walk(e.ambient, lo, hi, X, env, memo)
-            tc = CohomTable(X, chern, {})
-            return les_chase((ta, tb, tc))[2]
-        ta = CohomTable(X, chern, {})
-        tb = _cohom_walk(e.ambient, lo, hi, X, env, memo)
-        tc = _cohom_walk(e.quotient, lo, hi, X, env, memo)
-        return les_chase((ta, tb, tc))[0]
+            return les_chase((first, second, blank))[2]
+        return les_chase((blank, first, second))[0]
     raise DomainError(f"not a sheaf expression: {e!r}")
-
-
-def _shifted_entries(base, shift, lo, hi, X, env, memo) -> dict:
-    # the entries of base(shift) over lo..hi, read off base's walk
-    inner = _cohom_walk(base, lo + shift, hi + shift, X, env, memo)
-    return {(i, t - shift): entry for (i, t), entry in inner.entries.items()}
 
 
 def parse_batch(text: str) -> list[SheafExpr]:

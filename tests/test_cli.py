@@ -3,13 +3,14 @@ import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafcalc.chow import QUINTIC, threefold_to_dict
+from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
 from sheafcalc.cli import main
 from sheafcalc.errors import EngineError
 
@@ -335,3 +336,59 @@ def test_random_sheaf_text_exits_with_a_documented_code(sheaf):
 @settings(max_examples=100, deadline=None)
 def test_nested_expressions_exit_with_a_documented_code(sheaf):
     _assert_documented_exit(*_run_cohomology(sheaf))
+
+
+def test_p3_numbers_under_another_name_give_the_p3_tables(capsys, tmp_path):
+    # atom tables and the walk's own tables must meet in one chase
+    doc = threefold_to_dict(P3)
+    doc["name"] = "myp3"
+    path = tmp_path / "myp3.json"
+    path.write_text(json.dumps(doc))
+    for sheaf in ("coker(O(-1) -> O(0))", "ker(TX -> O(4))", "rdual(coker(O(-1) -> TX))"):
+        payloads = []
+        for threefold in ("p3", str(path)):
+            code, out, err = run_cli(
+                capsys, "cohomology", "--threefold", threefold, "--sheaf", sheaf,
+                "--twists", "-2..2", "--format", "json",
+            )
+            assert code == 0 and err == ""
+            payloads.append(json.loads(out))
+        assert payloads[1]["threefold"] == "myp3"
+        assert payloads[1]["table"] == payloads[0]["table"]
+
+
+# Python 3.10.7 and later refuse int <-> str conversions past a digit limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * (DIGIT_LIMIT + 1)  # past the limit
+CUBED = "9" * (DIGIT_LIMIT // 3 + 100)  # within it, but its cube is not
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["cohomology", "--sheaf", f"O({LONG})", "--twists", "0..0"], 3,
+         f"SyntaxError: integer has more than {DIGIT_LIMIT} digits (at byte 2)"),
+        (["cohomology", "--sheaf", "O(0)", "--twists", f"0..{LONG}"], 2,
+         f"sheafcalc: error: --twists bounds have more than {DIGIT_LIMIT} digits"),
+        (["cohomology", "--sheaf", f"O({CUBED})", "--twists", "0..0"], 3,
+         f"NotComputable: an integer has more than {DIGIT_LIMIT} digits"),
+        (["cohomology", "--sheaf", f"O({CUBED})", "--twists", "0..0", "--format", "json"], 3,
+         f"NotComputable: an integer has more than {DIGIT_LIMIT} digits"),
+        (["invariants", "--threefold", "p3", "--degree", CUBED, "--generic"], 3,
+         f"NotComputable: an integer has more than {DIGIT_LIMIT} digits"),
+        (["invariants", "--threefold", "p3", "--degree", LONG, "--generic"], 2,
+         "sheafcalc invariants: error: argument --degree: invalid int value"),
+    ],
+    ids=["sheaf literal", "twists bound", "table cell", "json cell", "invariants", "argv int"],
+)
+def test_integers_past_the_digit_limit_exit_with_a_documented_code(argv, code, message, capsys):
+    try:
+        found = main(argv)
+    except SystemExit as exc:  # argparse refuses the argument vector
+        found = exc.code
+    out, err = capsys.readouterr()
+    assert found == code and out == ""
+    assert err.splitlines()[-1].startswith(message)
+    if code == 3:
+        _assert_documented_exit(found, out, err)

@@ -1,0 +1,144 @@
+"""The column layout of CohomTable: its dict view, its equality, and the
+index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheafcalc.chow import P3, line_chern
+from sheafcalc.cohomology import CohomTable, DimEntry, bott_h, les_chase, line_table
+from sheafcalc.errors import EngineError
+from sheafcalc.sheafdsl import (
+    AtomNamed,
+    AtomO,
+    AtomOmega1,
+    AtomTX,
+    Coker,
+    Dual,
+    Ker,
+    NamedDecl,
+    Sum,
+    Twist,
+    chern_of,
+    cohom_of,
+    parse,
+)
+
+
+def _declared(name, src, lo, hi, keep):
+    # a named sheaf with the Chern data of src and, as hints, the exact
+    # entries of its table at the twists keep chooses
+    table = cohom_of(parse(src), (lo, hi))
+    hints = {
+        (i, t): e.value
+        for (i, t), e in table.entries.items()
+        if e.is_known and keep(i, t)
+    }
+    return NamedDecl(name, table.chern, hints)
+
+
+ENV = {
+    decl.name: decl
+    for decl in (
+        _declared("L", "O(1) + O(-2)", -6, 6, lambda i, t: True),
+        _declared("R", "coker(O(-1) -> TX(-1))", -6, 6, lambda i, t: t % 2 == 0),
+        _declared("T", "TX(-1)", -6, 6, lambda i, t: i == 0),
+        _declared("F", "coker(O(-2) -> Omega1(1))", -3, 3, lambda i, t: i < 2),
+    )
+}
+
+leaves = st.one_of(
+    st.integers(-4, 4).map(AtomO),
+    st.just(AtomTX()),
+    st.just(AtomOmega1()),
+    st.sampled_from(sorted(ENV)).map(AtomNamed),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.integers(-4, 4)).map(lambda p: Twist(*p)),
+        children.map(lambda e: Dual(e, False)),
+        children.map(lambda e: Dual(e, True)),
+        st.tuples(children, children).map(lambda p: Sum(*p)),
+        st.tuples(children, children).map(lambda p: Coker(*p)),
+        st.tuples(children, children).map(lambda p: Ker(*p)),
+    )
+
+
+expressions = st.recursive(leaves, _extend, max_leaves=8)
+
+
+@given(expressions, st.integers(-6, 3), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_a_wide_range_has_the_columns_of_single_twists(e, lo, width):
+    # catches an index off by one, or a reversal, that one twist cannot show
+    hi = lo + width
+    try:
+        table = cohom_of(e, (lo, hi), P3, ENV)
+    except EngineError:
+        return
+    for t in range(lo, hi + 1):
+        single = cohom_of(e, (t, t), P3, ENV)
+        assert single.chern == table.chern
+        assert single.column(t) == table.column(t)
+
+
+dim_entries = st.one_of(
+    st.integers(0, 9).map(DimEntry.known),
+    st.tuples(st.integers(0, 9), st.integers(1, 5)).map(
+        lambda p: DimEntry.bounded(p[0], p[0] + p[1])
+    ),
+    st.just(DimEntry.unknown()),
+)
+
+
+@given(st.integers(-5, 5), st.integers(0, 4), st.data())
+def test_a_contiguous_dict_round_trips(lo, width, data):
+    twists = list(range(lo, lo + width + 1))
+    entries = {(i, t): data.draw(dim_entries) for t in twists for i in range(4)}
+    table = CohomTable(P3, line_chern(0), entries)
+    assert table.entries == entries
+    assert table.twists() == twists
+    assert all(table.entry(i, t) == e for (i, t), e in entries.items())
+    assert CohomTable(P3, line_chern(0), table.entries) == table
+
+
+def test_a_gap_in_a_sparse_dict_reads_as_unknown():
+    unknown = DimEntry.unknown()
+    entries = {(0, -1): DimEntry.known(2), (3, 2): DimEntry.bounded(1, 4)}
+    table = CohomTable(P3, line_chern(0), entries)
+    assert table.twists() == [-1, 0, 1, 2]
+    assert table.column(-1) == (DimEntry.known(2), unknown, unknown, unknown)
+    assert table.column(0) == table.column(1) == (unknown,) * 4
+    assert table.column(2) == (unknown, unknown, unknown, DimEntry.bounded(1, 4))
+    assert table.entry(0, -2) == table.entry(3, 3) == unknown
+    assert len(table.entries) == 16 and table.entries[(1, 0)] == unknown
+
+
+def test_equal_tables_compare_equal():
+    chern = line_chern(1)
+    entries = {
+        (i, t): DimEntry.known(bott_h(0, i, 1 + t)) for t in range(-2, 3) for i in range(4)
+    }
+    table = CohomTable(P3, chern, entries)
+    assert table == CohomTable(P3, chern, dict(reversed(list(entries.items()))))
+    assert table == line_table(1, -2, 2)
+    assert table != line_table(1, -1, 2)
+    assert table != CohomTable(P3, line_chern(2), entries)
+    assert CohomTable(P3, chern) == CohomTable(P3, chern, {})
+    # a twist of a table with no columns still has none, at any range
+    e = parse("twist(dual(coker(O(-1) -> TX)), 2)")
+    assert cohom_of(e, (3, 5)) == CohomTable(P3, chern_of(e))
+    assert cohom_of(e, (0, 1)) == cohom_of(e, (3, 5))
+
+
+def test_a_sequence_of_tables_without_columns_is_unknown_everywhere():
+    src = (
+        "coker(dual(coker(O(-1) -> O(0) + O(0))) -> "
+        "dual(coker(O(-2) -> O(0) + O(0) + O(0))))"
+    )
+    table = cohom_of(parse(src), (-2, 2))
+    assert table.twists() == []
+    assert all(table.column(t) == (DimEntry.unknown(),) * 4 for t in range(-2, 3))
+    blanks = tuple(CohomTable(P3, line_chern(0)) for _ in range(3))
+    assert les_chase(blanks) == blanks
