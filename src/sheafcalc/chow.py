@@ -386,36 +386,16 @@ def threefold_from_dict(doc: dict) -> ThreefoldData:
         raise DomainError(f"threefold document has unknown keys: {extra}")
     for key, types in _SCHEMA.items():
         value = doc[key]
-        if isinstance(value, bool) and bool not in types:
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
             raise DomainError(f"key '{key}' has wrong type {type(value).__name__}")
-        if not isinstance(value, types):
-            raise DomainError(f"key '{key}' has wrong type {type(value).__name__}")
-    return ThreefoldData(
-        name=doc["name"],
-        h3=doc["h3"],
-        cX=doc["cX"],
-        c2TX_H=doc["c2TX_H"],
-        c3TX=doc["c3TX"],
-        rhoX=doc["rhoX"],
-        gammaX=doc["gammaX"],
-        tx_stable=doc["tx_stable"],
-        h1_line_vanishing=doc["h1_line_vanishing"],
-    )
+    return ThreefoldData(**doc)
 
 
 def threefold_to_dict(X: ThreefoldData) -> dict:
     """Inverse of threefold_from_dict, with the documented key order."""
-    return {
-        "name": X.name,
-        "h3": X.h3,
-        "cX": X.cX,
-        "c2TX_H": X.c2TX_H,
-        "c3TX": X.c3TX,
-        "rhoX": X.rhoX,
-        "gammaX": X.gammaX,
-        "tx_stable": X.tx_stable,
-        "h1_line_vanishing": X.h1_line_vanishing,
-    }
+    return {key: getattr(X, key) for key in _SCHEMA}
 
 
 def load_threefold(path: str | Path) -> ThreefoldData:

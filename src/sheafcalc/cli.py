@@ -27,6 +27,7 @@ from .sheafdsl import cohom_of, parse, parse_batch, pretty
 
 PRESETS_ENV = "SHEAFCALC_PRESETS"
 TWIST_WIDTH_CAP = 200
+BATCH_TWIST_WIDTH_CAP = 10_000  # a batch builds every row before printing
 
 
 @dataclass
@@ -237,12 +238,15 @@ def _cohom_payload(expr, twists, X):
 def _cmd_cohomology(args, parser):
     X = _resolve_threefold(args.threefold)
     twists = _parse_twists(args.twists, parser)
+    width = twists[1] - twists[0] + 1
     if args.batch is None:
-        if twists[1] - twists[0] + 1 > TWIST_WIDTH_CAP:
+        if width > TWIST_WIDTH_CAP:
             parser.error(
                 f"--twists width exceeds {TWIST_WIDTH_CAP}; use --batch mode"
             )
         return _cohom_payload(parse(args.sheaf), twists, X)
+    if width > BATCH_TWIST_WIDTH_CAP:
+        parser.error(f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}")
     try:
         text = Path(args.batch).read_text()
     except OSError as exc:

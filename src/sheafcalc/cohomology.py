@@ -242,22 +242,34 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # For a short exact sequence A -> B -> C the twelve cohomology dimensions at a
 # fixed twist sit in an exact chain x0 .. x11 (A^0, B^0, C^0, A^1, ...).
 # Writing r[k] for the rank of the k-th map (r[0] = r[12] = 0 at the closed
-# ends), exactness says x[k] = r[k] + r[k+1].  The chaser runs interval
-# propagation over these equations plus the per-sheaf Euler characteristic,
+# ends), a column is one linear system: exactness x[k] = r[k] + r[k+1] and the
+# three Euler characteristics.  Each equation solved for each unknown is a
+# rule of one shape, v = c + a + b - p, where the fixed r[0] = 0 stands in for
+# a missing term.  The chaser runs interval propagation over these rules,
 # intersecting only, so it is sound, monotone and idempotent by construction.
-# Lower and upper bounds are kept in flat int lists, None for unbounded.
 #
 # Closed form for A, B exact and C free: with s_i = r[3i], the rank of
 # C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i and
 # B^i leaves each s_i free in [max(0, A^i - B^i), A^i] and gives C^i =
 # B^i - A^i + s_i + s_(i+1).  A free A is the same on the chain read backwards.
 
-# Each chi rule solves sheaf j's Euler characteristic for its h^pos = x[i]:
-# x[i] = sign * chi[j] + x[a] + x[b] - x[p], where a and b are its h^q with
-# q - pos odd, p is its h^(pos+2 mod 4) and sign is (-1)^pos.
-_CHI_RULES = tuple(
+# The rules (v, a, b, p, q): v = c[q] + a + b - p over variables x[k] = k and
+# r[k] = 12 + k, with c the three chis, their negatives and 0.  Per k:
+# x[k] = r[k] + r[k+1], r[k] = x[k] - r[k+1], r[k+1] = x[k] - r[k].  Then per
+# sheaf j, its h^pos x[i] = (-1)^pos chi_j + x[a] + x[b] - x[p], where a and b
+# are its h^q with q - pos odd and p is its h^(pos+2 mod 4).
+_R0 = 12  # r[0], fixed at 0
+_RULES = tuple(
+    rule
+    for k in range(12)
+    for rule in (
+        (k, 12 + k, 13 + k, _R0, 6),
+        (12 + k, k, _R0, 13 + k, 6),
+        (13 + k, k, _R0, 12 + k, 6),
+    )
+) + tuple(
     (3 * pos + j, 3 * ((pos + 1) % 4) + j, 3 * ((pos + 3) % 4) + j,
-     3 * ((pos + 2) % 4) + j, j, 1 - 2 * (pos % 2))
+     3 * ((pos + 2) % 4) + j, j + 3 * (pos % 2))
     for j in range(3)
     for pos in range(4)
 )
@@ -313,63 +325,33 @@ def _solve_free_last(xs, chis):
 
 
 def _propagate(xs, chis):
-    """Interval propagation over the chain: every narrowing is a meet in
-    place, and an empty one raises Inconsistent."""
+    """Interval propagation over the rule table: every narrowing is a meet in
+    place, and an empty one raises Inconsistent.  Bounds are kept in flat int
+    lists, None for unbounded."""
     _check_additive(chis)
-    xlo = [lo for lo, _ in xs]
-    xhi = [hi for _, hi in xs]
-    rlo = [0] * 13
-    rhi = [0] + [None] * 11 + [0]
+    c = (*chis, -chis[0], -chis[1], -chis[2], 0)
+    lo = [low for low, _ in xs] + [0] * 13
+    hi = [high for _, high in xs] + [0] + [None] * 11 + [0]
     changed = True
     while changed:
         changed = False
-        for k in range(12):
-            # x[k] = r[k] + r[k+1]
-            lo = rlo[k] + rlo[k + 1]
-            if lo < xlo[k]:
-                lo = xlo[k]
-            hi = xhi[k]
-            if rhi[k] is not None and rhi[k + 1] is not None:
-                v = rhi[k] + rhi[k + 1]
-                if hi is None or v < hi:
-                    hi = v
-            if hi is not None and lo > hi:
+        for v, a, b, p, q in _RULES:
+            new_lo = lo[v]
+            if hi[p] is not None:
+                w = c[q] + lo[a] + lo[b] - hi[p]
+                if w > new_lo:
+                    new_lo = w
+            new_hi = hi[v]
+            if hi[a] is not None and hi[b] is not None:
+                w = c[q] + hi[a] + hi[b] - lo[p]
+                if new_hi is None or w < new_hi:
+                    new_hi = w
+            if new_hi is not None and new_lo > new_hi:
                 raise Inconsistent(_EMPTY)
-            if lo != xlo[k] or hi != xhi[k]:
-                xlo[k], xhi[k] = lo, hi
+            if new_lo != lo[v] or new_hi != hi[v]:
+                lo[v], hi[v] = new_lo, new_hi
                 changed = True
-            # r[k] = x[k] - r[k+1], then r[k+1] = x[k] - r[k]
-            for m, n in ((k, k + 1), (k + 1, k)):
-                lo = rlo[m]
-                if rhi[n] is not None and xlo[k] - rhi[n] > lo:
-                    lo = xlo[k] - rhi[n]
-                hi = rhi[m]
-                if xhi[k] is not None:
-                    v = xhi[k] - rlo[n]
-                    if hi is None or v < hi:
-                        hi = v
-                if hi is not None and lo > hi:
-                    raise Inconsistent(_EMPTY)
-                if lo != rlo[m] or hi != rhi[m]:
-                    rlo[m], rhi[m] = lo, hi
-                    changed = True
-        for i, a, b, p, j, sign in _CHI_RULES:
-            lo = xlo[i]
-            if xhi[p] is not None:
-                v = sign * chis[j] + xlo[a] + xlo[b] - xhi[p]
-                if v > lo:
-                    lo = v
-            hi = xhi[i]
-            if xhi[a] is not None and xhi[b] is not None:
-                v = sign * chis[j] + xhi[a] + xhi[b] - xlo[p]
-                if hi is None or v < hi:
-                    hi = v
-            if hi is not None and lo > hi:
-                raise Inconsistent(_EMPTY)
-            if lo != xlo[i] or hi != xhi[i]:
-                xlo[i], xhi[i] = lo, hi
-                changed = True
-    return list(zip(xlo, xhi))
+    return list(zip(lo[:12], hi[:12]))
 
 
 def les_chase(

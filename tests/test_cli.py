@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
-from sheafcalc.cli import main
+from sheafcalc.cli import BATCH_TWIST_WIDTH_CAP, main
 from sheafcalc.errors import EngineError
 
 
@@ -193,6 +193,24 @@ def test_twist_width_cap_and_batch_lift(capsys, tmp_path):
     assert len(payload["results"][0]["table"]) == 301
 
 
+def test_batch_twist_width_cap(capsys, tmp_path):
+    # a batch renders its whole document before printing, so width is capped
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("O(1)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--batch", str(batch), "--twists", f"0..{BATCH_TWIST_WIDTH_CAP}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}" in err
+
+    code, out, err = run_cli(
+        capsys, "cohomology", "--batch", str(batch), "--twists",
+        f"1..{BATCH_TWIST_WIDTH_CAP}", "--format", "csv",
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + BATCH_TWIST_WIDTH_CAP
+
+
 def test_conncomp_generic_substitution(capsys):
     code, out, _ = run_cli(
         capsys, "conncomp", "--threefold", "p3", "--c1", "1", "--generic",
@@ -297,15 +315,19 @@ def _expression_text(depth):
     )
 
 
-def _run_cohomology(sheaf):
+def _run_main(argv):
     # hypothesis runs many examples per test, so capsys cannot capture them
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["cohomology", "--sheaf", sheaf, "--twists", "-2..2"])
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses the argument vector
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_cohomology(sheaf):
+    return _run_main(["cohomology", "--sheaf", sheaf, "--twists", "-2..2"])
 
 
 def _assert_documented_exit(code, out, err):
@@ -392,3 +414,69 @@ def test_integers_past_the_digit_limit_exit_with_a_documented_code(argv, code, m
     assert err.splitlines()[-1].startswith(message)
     if code == 3:
         _assert_documented_exit(found, out, err)
+
+
+@st.composite
+def _extreme_int(draw, last_digit=None):
+    # decimal text of 1 to DIGIT_LIMIT + 10 digits, either sign; the lengths
+    # where a value, its square or its cube crosses the limit are drawn often
+    near = [DIGIT_LIMIT // k + j for k in (1, 2, 3) for j in (-1, 0, 1, 10)]
+    n = draw(st.one_of(st.integers(1, DIGIT_LIMIT + 10), st.sampled_from(near)))
+    pattern = draw(st.text(alphabet="0123456789", min_size=1, max_size=3))
+    digits = (draw(st.sampled_from("123456789")) + pattern * n)[:n]
+    if last_digit is not None:
+        digits = digits[:-1] + str(last_digit)
+    return draw(st.sampled_from(["", "-"])) + digits
+
+
+@st.composite
+def _twist_range(draw):
+    # both bounds extreme, lo <= hi, width 1 to 3: only the last digit differs
+    width, last = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    small = draw(_extreme_int(last))
+    large = small[:-1] + str(last + width - 1)  # same sign, larger magnitude
+    return f"{large}..{small}" if small.startswith("-") else f"{small}..{large}"
+
+
+@st.composite
+def _argv_with_extreme_ints(draw):
+    def num():
+        return draw(_extreme_int())
+
+    threefold = draw(st.sampled_from(["p3", "quintic", "quadric"]))
+    command = draw(st.sampled_from(
+        ["invariants", "moduli", "cohomology", "spectrum", "subfoliation", "conncomp"]
+    ))
+    if command == "invariants":
+        slot = draw(st.sampled_from(["--degree", "--c1"]))
+        argv = ["invariants", "--threefold", "p3" if slot == "--degree" else threefold,
+                slot, num()] + draw(st.sampled_from([[], ["--generic"]]))
+    elif command == "moduli":
+        argv = ["moduli", "--degree", num()]
+    elif command == "cohomology":
+        sheaf = draw(st.sampled_from([
+            "O({})", "twist(TX, {})", "twist(Omega1, {})", "twist(coker(O(-1) -> TX), {})",
+            "rdual(twist(O(1) + O(2), {}))",
+        ]))
+        if draw(st.booleans()):  # the extreme integer in the sheaf, or in both bounds
+            sheaf, twists = sheaf.format(num()), "-1..1"
+        else:
+            sheaf, twists = sheaf.format(1), draw(_twist_range())
+        argv = ["cohomology", "--threefold", threefold, "--sheaf", sheaf, "--twists", twists]
+    elif command == "spectrum":
+        argv = ["spectrum", "--threefold", threefold, "--r", num()] \
+            + draw(st.sampled_from([[], ["--normalize"]]))
+    elif command == "subfoliation":
+        argv = ["subfoliation", "--threefold", threefold, "--c1", num(), "--tg", num(),
+                "--sing1f", draw(st.sampled_from(["empty", "irred", "other"]))]
+    else:
+        h2 = draw(st.sampled_from([["--generic"], ["--h2", num()]]))
+        argv = ["conncomp", "--threefold", threefold, "--c1", num()] + h2 + ["--c3", num()]
+    return argv + ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+@given(_argv_with_extreme_ints())
+@settings(max_examples=200, deadline=None)
+def test_extreme_integers_exit_with_a_documented_code(argv):
+    _assert_documented_exit(*_run_main(argv))

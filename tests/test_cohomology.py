@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import pytest
@@ -305,6 +306,9 @@ unknown_or_box = st.one_of(
 )
 
 
+ANY_MODE = ("keep", "widen", "drop")
+
+
 @st.composite
 def chase_inputs(draw):
     if draw(st.booleans()):
@@ -312,12 +316,18 @@ def chase_inputs(draw):
         xs = draw(st.lists(unknown_or_box, min_size=12, max_size=12))
         a, c = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
         return xs, (a, a + c, c)
-    # an exact chain from map ranks, with entries kept, widened or dropped
+    return draw(exact_chain_inputs())
+
+
+@st.composite
+def exact_chain_inputs(draw, modes=(ANY_MODE,) * 3):
+    # an exact chain from map ranks, with each entry of term j kept, widened
+    # or dropped as modes[j] allows
     rs = [0] + draw(st.lists(st.integers(0, 5), min_size=11, max_size=11)) + [0]
     truth = [rs[k] + rs[k + 1] for k in range(12)]
     xs = []
-    for v in truth:
-        mode = draw(st.sampled_from(["keep", "widen", "drop"]))
+    for k, v in enumerate(truth):
+        mode = draw(st.sampled_from(modes[k % 3]))
         if mode == "keep":
             xs.append((v, v))
         elif mode == "widen":
@@ -398,6 +408,98 @@ def test_closed_form_matches_propagation(case):
         cohomology, "_propagate", side_effect=AssertionError("propagated")
     ):
         assert _chase_outcome(_chase_single_twist, xs, chis) == expected
+
+
+# A brute-force oracle: the projection of every exact chain inside the boxes
+# with the given Euler characteristics.  Propagation is sound but not sharp,
+# so only the closed form is held to the projection itself.
+
+
+def _chain_projection(xs, chis, cap=5):
+    """The (min, max) of each x[k] over every exact chain x0..x11 inside the
+    boxes xs whose terms have Euler characteristics chis; None if there is
+    no such chain.
+
+    A depth-first search over the ranks r[1..11], each bounded by its finite
+    neighbours or by cap if it has none.  It is memoised on (k, r[k], the
+    terms' alternating sums over x[0..k-1]), so shared tails are searched once.
+    """
+    bound = [0]
+    for k in range(1, 12):
+        finite = [hi for _, hi in xs[k - 1:k + 1] if hi is not None]
+        bound.append(min(finite, default=cap))
+    bound.append(0)
+
+    @functools.lru_cache(maxsize=None)
+    def tail(k, r, sums):
+        # the projection of x[k..11] over the chains that go on from r[k] = r
+        if k == 12:
+            return () if sums == tuple(chis) else None
+        lo, hi = xs[k]
+        top = bound[k + 1] if hi is None else min(bound[k + 1], hi - r)
+        found = None
+        for nxt in range(max(0, lo - r), top + 1):
+            x = r + nxt
+            after = list(sums)
+            after[k % 3] += x if k // 3 % 2 == 0 else -x
+            rest = tail(k + 1, nxt, tuple(after))
+            if rest is not None:
+                here = ((x, x),) + rest
+                found = here if found is None else tuple(
+                    (min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(found, here)
+                )
+        return found
+
+    projection = tail(0, 0, (0, 0, 0))
+    return None if projection is None else list(projection)
+
+
+@given(exact_chain_inputs())
+@settings(max_examples=150, deadline=None)
+def test_chase_contains_every_exact_chain(case):
+    xs, chis = case
+    out = _chase_single_twist(list(xs), chis)
+    # the chain the inputs were drawn from is among those found
+    for (lo, hi), (low, high) in zip(out, _chain_projection(xs, chis)):
+        assert lo <= low and (hi is None or high <= hi)
+
+
+@st.composite
+def closed_form_inputs(draw):
+    # A and B exact and C free, or the mirror image, from an exact chain;
+    # then sometimes one exact entry is off by one, with the chis following
+    # it, or one chi is off by one
+    free = draw(st.sampled_from([0, 2]))
+    modes = [("keep",)] * 3
+    modes[free] = ("drop",)
+    xs, chis = draw(exact_chain_inputs(tuple(modes)))
+    chis = list(chis)
+    fault = draw(st.sampled_from(["none", "entry", "chi"]))
+    if fault == "entry":
+        k = draw(st.sampled_from([k for k in range(12) if k % 3 != free]))
+        v = max(0, xs[k][0] + draw(st.sampled_from([-1, 1])))
+        xs[k] = (v, v)
+        for j in (1, 2 - free):
+            chis[j] = _alternating([lo for lo, _ in xs[j::3]])
+        chis[free] = chis[1] - chis[2 - free]
+    if fault == "chi":
+        chis[draw(st.integers(0, 2))] += draw(st.sampled_from([-1, 1]))
+    return xs, tuple(chis)
+
+
+@given(closed_form_inputs())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_is_the_projection_of_the_exact_chains(case):
+    xs, chis = case
+    projection = _chain_projection(xs, chis)
+    with mock.patch.object(
+        cohomology, "_propagate", side_effect=AssertionError("propagated")
+    ):
+        if projection is None:
+            with pytest.raises(Inconsistent):
+                _chase_single_twist(list(xs), chis)
+        else:
+            assert _chase_single_twist(list(xs), chis) == projection
 
 
 def test_chase_rejects_non_additive_chis():
