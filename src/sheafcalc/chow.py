@@ -12,8 +12,6 @@ ChowClass is the rational API and the tests' reference for that arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -25,11 +23,19 @@ from .errors import (
     NonIntegralChi,
     UnsupportedRank,
 )
+from .record import Record, _set
 
 TX_STABLE = "stable"
 TX_SEMISTABLE = "semistable"
 TX_UNKNOWN = "unknown"
 _TX_FLAGS = (TX_STABLE, TX_SEMISTABLE, TX_UNKNOWN)
+
+
+def _fraction(*args) -> Fraction:
+    # imported here, as only the rational API and error messages use it
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def comb0(n: int, k: int) -> int:
@@ -39,8 +45,7 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class ThreefoldData:
+class ThreefoldData(Record):
     """Numerical profile of a smooth projective threefold with Pic = Z.H.
 
     h3 is the degree H^3; cX, c2TX_H, c3TX are c1(TX), c2(TX).H and deg c3(TX);
@@ -107,8 +112,7 @@ class ThreefoldData:
         return self.gammaX
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """(rank, c1, c2.H, deg c3) of a sheaf, all exact integers."""
 
     rank: int
@@ -116,12 +120,17 @@ class ChernData:
     n2: int
     n3: int
 
-    def __post_init__(self):
-        for field in ("rank", "c1", "n2", "n3"):
+    def __init__(self, rank: int, c1: int, n2: int, n3: int):
+        # written out, as the engine builds these on its hot paths
+        _set(self, "rank", rank)
+        _set(self, "c1", c1)
+        _set(self, "n2", n2)
+        _set(self, "n3", n3)
+        for field in self._fields:
             if not isinstance(getattr(self, field), int):
                 raise DomainError(f"{field} must be an integer")
-        if self.rank < 0:
-            raise DomainError(f"rank must be >= 0, got {self.rank}")
+        if rank < 0:
+            raise DomainError(f"rank must be >= 0, got {rank}")
 
     def triple(self) -> tuple[int, int, int]:
         return (self.c1, self.n2, self.n3)
@@ -132,8 +141,7 @@ def line_chern(t: int) -> ChernData:
     return ChernData(1, t, 0, 0)
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Record):
     """Graded rational class a0 + a1.H + a2.H^2 + a3.H^3, truncated in degree 3."""
 
     a0: Fraction
@@ -143,12 +151,12 @@ class ChowClass:
 
     @staticmethod
     def of(a0, a1=0, a2=0, a3=0) -> "ChowClass":
-        return ChowClass(Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
+        return ChowClass(_fraction(a0), _fraction(a1), _fraction(a2), _fraction(a3))
 
     @staticmethod
     def exp_divisor(t: int) -> "ChowClass":
         """exp(t.H) = 1 + tH + t^2/2 H^2 + t^3/6 H^3."""
-        return ChowClass.of(1, t, Fraction(t * t, 2), Fraction(t**3, 6))
+        return ChowClass.of(1, t, _fraction(t * t, 2), _fraction(t**3, 6))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return ChowClass(
@@ -187,10 +195,10 @@ def chern_to_ch(c: ChernData, X: ThreefoldData) -> ChowClass:
     """
     h3 = X.h3
     return ChowClass(
-        Fraction(c.rank),
-        Fraction(c.c1),
-        Fraction(c.c1**2 * h3 - 2 * c.n2, 2 * h3),
-        Fraction(c.c1**3 * h3 - 3 * c.c1 * c.n2 + 3 * c.n3, 6 * h3),
+        _fraction(c.rank),
+        _fraction(c.c1),
+        _fraction(c.c1**2 * h3 - 2 * c.n2, 2 * h3),
+        _fraction(c.c1**3 * h3 - 3 * c.c1 * c.n2 + 3 * c.n3, 6 * h3),
     )
 
 
@@ -212,9 +220,9 @@ def ch_to_chern(ch: ChowClass, X: ThreefoldData) -> ChernData:
     if rank < 0:
         raise NonIntegralChernClass(f"rank = {rank} is negative")
     c1 = _as_int(ch.a1, "c1")
-    n2 = _as_int(Fraction(c1**2, 2) * h3 - ch.a2 * h3, "c2.H")
+    n2 = _as_int(_fraction(c1**2, 2) * h3 - ch.a2 * h3, "c2.H")
     n3 = _as_int(
-        2 * ch.a3 * h3 - Fraction(c1**3 * h3 - 3 * c1 * n2, 3), "deg c3"
+        2 * ch.a3 * h3 - _fraction(c1**3 * h3 - 3 * c1 * n2, 3), "deg c3"
     )
     return ChernData(rank, c1, n2, n3)
 
@@ -223,10 +231,10 @@ def todd_class(X: ThreefoldData) -> ChowClass:
     """td(X) = 1 + c1/2 + (c1^2 + c2)/12 + c1.c2/24, as a graded class."""
     h3 = X.h3
     return ChowClass(
-        Fraction(1),
-        Fraction(X.cX, 2),
-        Fraction(X.cX**2 * h3 + X.c2TX_H, 12 * h3),
-        Fraction(X.cX * X.c2TX_H, 24 * h3),
+        _fraction(1),
+        _fraction(X.cX, 2),
+        _fraction(X.cX**2 * h3 + X.c2TX_H, 12 * h3),
+        _fraction(X.cX * X.c2TX_H, 24 * h3),
     )
 
 
@@ -261,13 +269,13 @@ def _chern(ch, h3: int) -> ChernData:
     n2, rem = divmod(c1 * c1 * h3 - q2, 2)
     if rem:
         raise NonIntegralChernClass(
-            f"c2.H = {Fraction(c1 * c1 * h3 - q2, 2)} is not an integer"
+            f"c2.H = {_fraction(c1 * c1 * h3 - q2, 2)} is not an integer"
         )
     num3 = N3 - c1 * c1 * c1 * h3 + 3 * c1 * n2
     n3, rem = divmod(num3, 3)
     if rem:
         raise NonIntegralChernClass(
-            f"deg c3 = {Fraction(num3, 3)} is not an integer"
+            f"deg c3 = {_fraction(num3, 3)} is not an integer"
         )
     return ChernData(r, c1, n2, n3)
 
@@ -288,7 +296,7 @@ def chi_at_twist(c: ChernData, t: int, X: ThreefoldData) -> int:
     chi, rem = divmod(num, 24)
     if rem:
         raise NonIntegralChi(
-            f"chi = {Fraction(num, 24)} is not an integer on '{X.name}'"
+            f"chi = {_fraction(num, 24)} is not an integer on '{X.name}'"
         )
     return chi
 
@@ -402,10 +410,10 @@ def load_threefold(path: str | Path) -> ThreefoldData:
     """Load a threefold profile from a JSON preset file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read threefold file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
         raise DomainError(f"invalid JSON in threefold file: {exc}") from exc
     return threefold_from_dict(doc)

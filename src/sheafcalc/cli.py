@@ -4,34 +4,31 @@ Every subcommand emits a deterministic document in one of three formats
 (aligned table, CSV, JSON); JSON payloads carry a ``sources`` map naming the
 internal rule that produced each numeric claim, so outputs can be golden-file
 tested.  Exit codes: 0 success, 2 usage error, 3 engine error (the error's
-typed name is printed on stderr).
+typed name is printed on stderr).  Each handler imports the engine modules
+it uses, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import dist, modulispec
 from .chow import PRESETS, ThreefoldData, load_threefold, threefold_to_dict
-from .cohomology import DimEntry, generic_dist_cohom
 from .errors import DomainError, EngineError, MissingInvariant, NotComputable
-from .sheafdsl import cohom_of, parse, parse_batch, pretty
+from .record import Record
 
 PRESETS_ENV = "SHEAFCALC_PRESETS"
 TWIST_WIDTH_CAP = 200
 BATCH_TWIST_WIDTH_CAP = 10_000  # a batch builds every row before printing
+SING1F_KINDS = ("empty", "irred", "other")  # dist.SING1_*, without loading dist
 
 
-@dataclass
-class OutputDocument:
+class OutputDocument(Record):
     format: str
     payload: dict
     rows: list  # list of rows (list of str); first row is the header
@@ -40,6 +37,8 @@ class OutputDocument:
         if self.format == "json":
             return json.dumps(self.payload, indent=2) + "\n"
         if self.format == "csv":
+            import csv
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerows(self.rows)
@@ -114,7 +113,7 @@ def _parse_twists(text: str, parser) -> tuple[int, int]:
     return lo, hi
 
 
-def _entry_json(e: DimEntry) -> dict:
+def _entry_json(e) -> dict:
     if e.status == "known":
         return {"status": "known", "value": e.lo}
     if e.status == "bounded":
@@ -130,7 +129,9 @@ def _chern_triple(c) -> list:
 # Subcommand handlers.  Each returns (payload, rows).
 
 
-def _profile_from_args(args, parser, X) -> dist.DistributionProfile:
+def _profile_from_args(args, parser, X):
+    from . import dist
+
     if args.degree is not None:
         if not X.is_p3:
             parser.error("--degree is defined on p3 only; use --c1")
@@ -141,6 +142,8 @@ def _profile_from_args(args, parser, X) -> dist.DistributionProfile:
 
 
 def _cmd_invariants(args, parser):
+    from . import dist
+
     X = _resolve_threefold(args.threefold)
     profile = _profile_from_args(args, parser, X)
     chern = dist.dist_chern(profile)
@@ -169,6 +172,8 @@ def _cmd_invariants(args, parser):
 
 
 def _cmd_moduli(args, parser):
+    from . import modulispec
+
     report = modulispec.moduli_report(args.degree)
     resolution = modulispec.global_gen_resolution(args.degree)
     normalized = modulispec.normalize_chern(report.chern, PRESETS["p3"])
@@ -212,6 +217,8 @@ def _cmd_moduli(args, parser):
 
 
 def _cohom_payload(expr, twists, X):
+    from .sheafdsl import cohom_of, pretty
+
     lo, hi = twists
     table = cohom_of(expr, (lo, hi), X)
     chern = table.chern
@@ -236,6 +243,8 @@ def _cohom_payload(expr, twists, X):
 
 
 def _cmd_cohomology(args, parser):
+    from .sheafdsl import parse, parse_batch
+
     X = _resolve_threefold(args.threefold)
     twists = _parse_twists(args.twists, parser)
     width = twists[1] - twists[0] + 1
@@ -249,7 +258,7 @@ def _cmd_cohomology(args, parser):
         parser.error(f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}")
     try:
         text = Path(args.batch).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read batch file: {exc}") from exc
     results = []
     rows_txt = [["expression", "twist", "h0", "h1", "h2", "h3", "chi"]]
@@ -262,6 +271,8 @@ def _cmd_cohomology(args, parser):
 
 
 def _cmd_spectrum(args, parser):
+    from . import modulispec
+
     X = _resolve_threefold(args.threefold)
     point = modulispec.spectrum_point(X, args.r)
     payload = {
@@ -279,6 +290,8 @@ def _cmd_spectrum(args, parser):
 
 
 def _cmd_subfoliation(args, parser):
+    from . import dist
+
     X = _resolve_threefold(args.threefold)
     generic = args.sing1f == dist.SING1_EMPTY
     profile = dist.DistributionProfile(X, args.c1, generic=generic)
@@ -304,6 +317,9 @@ def _cmd_subfoliation(args, parser):
 
 
 def _cmd_conncomp(args, parser):
+    from . import dist
+    from .cohomology import generic_dist_cohom
+
     X = _resolve_threefold(args.threefold)
     profile = dist.DistributionProfile(X, args.c1, generic=False)
     if args.generic:
@@ -409,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--tg", type=int, required=True)
     p.add_argument("--sing1f", required=True,
-                   choices=(dist.SING1_EMPTY, dist.SING1_IRREDUCIBLE_REDUCED,
-                            dist.SING1_OTHER))
+                   choices=SING1F_KINDS)
     add_format(p)
     p.set_defaults(handler=_cmd_subfoliation)
 

@@ -9,8 +9,6 @@ when a rank is genuinely undetermined the answer stays an interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import (
     P3,
     ChernData,
@@ -23,12 +21,12 @@ from .chow import (
     twist_chern,
 )
 from .errors import DomainError, Inconsistent, NotComputable
+from .record import Record, _set
 
 DIM = 3  # complex dimension of the ambient threefolds
 
 
-@dataclass(frozen=True)
-class DimEntry:
+class DimEntry(Record):
     """One cohomology dimension: known exactly, boxed in an interval, or unknown.
 
     Stored as a closed interval [lo, hi]; hi is None only in the canonical
@@ -38,13 +36,17 @@ class DimEntry:
     lo: int
     hi: int | None
 
-    def __post_init__(self):
-        if self.lo < 0:
+    def __init__(self, lo: int, hi: int | None):
+        # written out, as the chaser builds these on its hot paths
+        if lo < 0:
             raise DomainError("dimension lower bound must be >= 0")
-        if self.hi is not None and self.hi < self.lo:
+        if hi is None:
+            if lo != 0:
+                raise DomainError("half-bounded entries are not representable")
+        elif hi < lo:
             raise DomainError("dimension interval is empty")
-        if self.hi is None and self.lo != 0:
-            raise DomainError("half-bounded entries are not representable")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @staticmethod
     def known(n: int) -> "DimEntry":
@@ -103,8 +105,7 @@ def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
     return DimEntry(lo, hi)
 
 
-@dataclass(init=False)
-class CohomTable:
+class CohomTable(Record, frozen=False):
     """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
     columns[k] is the column (h^0, .., h^3) at twist lo + k; entries outside

@@ -5,8 +5,6 @@ analysis, and connected-component counts for 1-dimensional singular loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import (
     ChernData,
     ThreefoldData,
@@ -14,7 +12,6 @@ from .chow import (
     TX_STABLE,
     twist_chern,
 )
-from .cohomology import serre_tangent_h
 from .errors import (
     DomainError,
     HypothesisError,
@@ -23,6 +20,7 @@ from .errors import (
     NegativeCurveClass,
     NegativeLength,
 )
+from .record import Record
 
 STABLE = "Stable"
 SEMISTABLE = "Semistable"
@@ -48,8 +46,7 @@ _BRANCH_Y = "Y = sing1(G)"
 _BRANCH_UNION = "sing(G) = Y union sing1(F)"
 
 
-@dataclass(frozen=True)
-class DistributionProfile:
+class DistributionProfile(Record):
     """Discrete data of a codimension-one distribution: the threefold, the
     first Chern class f of the tangent sheaf, and whether the singular scheme
     is at most 0-dimensional (generic)."""
@@ -69,14 +66,12 @@ class DistributionProfile:
         return 2 - self.f if self.X.is_p3 else None
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     status: str
     reason: str
 
 
-@dataclass(frozen=True)
-class SubfoliationReport:
+class SubfoliationReport(Record):
     tG: int
     lfg_degree: int
     y_class: int | None
@@ -87,8 +82,7 @@ class SubfoliationReport:
     split_degree_statement: int
 
 
-@dataclass(frozen=True)
-class ConnReport:
+class ConnReport(Record):
     """Count of connected components of the pure 1-dimensional singular locus."""
 
     kind: str  # "Exact" or "Interval"
@@ -253,6 +247,8 @@ def conn_components(
             "not fabricate it"
         )
     if X.is_p3:
+        from .cohomology import serre_tangent_h  # loaded only where it is used
+
         d = 2 - p.f
         tx_h1_vanishes = serre_tangent_h(1, -d - 2) == 0
         tx_h2_vanishes = serre_tangent_h(2, -d - 2) == 0

@@ -5,15 +5,13 @@ twisting action of the Picard group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import ChernData, P3, ThreefoldData, twist_chern
 from .dist import DistributionProfile, dist_chern
 from .errors import DomainError, HypothesisError, Inconsistent, UnsupportedRank
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(Record):
     """Invariants of the moduli component containing degree-d tangent sheaves."""
 
     d: int
@@ -26,8 +24,7 @@ class ModuliReport:
     family_dim: int
 
 
-@dataclass(frozen=True)
-class CurveFamilyReport:
+class CurveFamilyReport(Record):
     """The family of curves through the singular points of a degree-d
     distribution: degree, arithmetic genus, number of points hit, and the
     dimension of the family."""
@@ -39,8 +36,7 @@ class CurveFamilyReport:
     family_dim: int
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(Record):
     """Shape of the globally generated twist: kernel and middle of the
     resolution by trivial bundles, with the twisted Chern data."""
 
@@ -51,8 +47,7 @@ class ResolutionReport:
     chern_twisted: ChernData
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record):
     """A realized Chern triple in the rank-2 stable spectrum of X."""
 
     X: ThreefoldData

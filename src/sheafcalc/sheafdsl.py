@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import cohomology as coh
 from .chow import (
@@ -44,69 +43,63 @@ from .errors import (
     RankError,
     UnknownIdentifier,
 )
+from .record import Record
 
 
-class SheafExpr:
+class SheafExpr(Record):
     """Base class of all expression nodes."""
 
 
-@dataclass(frozen=True)
 class AtomO(SheafExpr):
     t: int
 
 
-@dataclass(frozen=True)
 class AtomTX(SheafExpr):
     pass
 
 
-@dataclass(frozen=True)
 class AtomOmega1(SheafExpr):
     pass
 
 
-@dataclass(frozen=True)
 class AtomNamed(SheafExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class Twist(SheafExpr):
     base: SheafExpr
     t: int
 
 
-@dataclass(frozen=True)
 class Dual(SheafExpr):
     base: SheafExpr
     reflexive_rank2: bool = False
 
 
-@dataclass(frozen=True)
 class Sum(SheafExpr):
     left: SheafExpr
     right: SheafExpr
 
 
-@dataclass(frozen=True)
 class Coker(SheafExpr):
     sub: SheafExpr
     ambient: SheafExpr
 
 
-@dataclass(frozen=True)
 class Ker(SheafExpr):
     ambient: SheafExpr
     quotient: SheafExpr
 
 
-@dataclass(frozen=True)
-class NamedDecl:
+class NamedDecl(Record):
     """A user-declared sheaf: Chern data plus optional known dimensions."""
 
     name: str
     chern: ChernData
-    cohom_hints: dict = field(default_factory=dict)  # (i, twist) -> int
+    cohom_hints: dict  # (i, twist) -> int
+
+    def __init__(self, name: str, chern: ChernData, cohom_hints: dict | None = None):
+        super().__init__(name, chern, {} if cohom_hints is None else cohom_hints)
 
 
 # Deepest expression tree accepted (the top node is level 1).  The evaluators

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -174,6 +176,73 @@ def test_unknown_threefold(capsys):
                            "--r", "2")
     assert code == 3
     assert err.startswith("DomainError")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"name": "\xff"}', "cannot read threefold file: "),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON in threefold file: "),
+], ids=["not-utf-8", "nested-100000-deep"])
+def test_unreadable_preset_is_a_domain_error(content, reason, capsys, tmp_path, monkeypatch):
+    (tmp_path / "bad.json").write_bytes(content)
+    monkeypatch.setenv("SHEAFCALC_PRESETS", str(tmp_path))
+    for threefold in (str(tmp_path / "bad.json"), "bad"):
+        code, out, err = run_cli(capsys, "spectrum", "--threefold", threefold, "--r", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"DomainError: {reason}")
+
+
+def test_non_utf8_batch_file_is_a_domain_error(capsys, tmp_path):
+    batch = tmp_path / "exprs.txt"
+    batch.write_bytes(b"O(1)\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "cohomology", "--batch", str(batch), "--twists", "0..0")
+    assert (code, out) == (3, "")
+    assert err.startswith("DomainError: cannot read batch file: ")
+
+
+# Each subcommand with the sheafcalc modules it loads: its handler imports
+# what it uses, and the package itself imports nothing until asked.
+SUBCOMMAND_MODULES = [
+    (["invariants", "--threefold", "p3", "--degree", "2", "--generic"], {"dist"}),
+    (["moduli", "--degree", "1", "--format", "json"],
+     {"modulispec", "dist", "sheafdsl", "cohomology"}),  # the resolution's check parses
+    (["cohomology", "--sheaf", "coker(O(-2) -> Omega1(1))", "--twists", "-1..1",
+      "--format", "csv"], {"sheafdsl", "cohomology"}),
+    (["spectrum", "--threefold", "quintic", "--r", "2", "--normalize"], {"modulispec", "dist"}),
+    (["subfoliation", "--threefold", "p3", "--c1", "1", "--tg", "-1", "--sing1f", "empty"],
+     {"dist"}),
+    (["conncomp", "--threefold", "p3", "--c1", "1", "--generic", "--c3", "5"],
+     {"dist", "cohomology"}),
+    (["presets", "list"], set()),
+]
+# runs the console-script entry point, sheafcalc.cli:main, in a fresh interpreter
+_LOADED_MODULES = (
+    "import json, sys\n"
+    "from sheafcalc.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_the_modules_it_uses(argv, modules):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *sys.path]))
+    child = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                           capture_output=True, text=True, env=env)
+    code, loaded = json.loads(child.stderr.splitlines()[-1])
+    assert code == 0 and child.stdout
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    ours = {m.split(".", 1)[1] for m in loaded if m.startswith("sheafcalc.")}
+    assert ours == {"cli", "chow", "errors", "record"} | modules
+
+
+def test_sing1f_choices_are_the_engine_kinds():
+    # the parser lists them itself, so that building it loads no dist
+    from sheafcalc import dist
+    from sheafcalc.cli import SING1F_KINDS
+
+    assert SING1F_KINDS == (dist.SING1_EMPTY, dist.SING1_IRREDUCIBLE_REDUCED, dist.SING1_OTHER)
 
 
 def test_twist_width_cap_and_batch_lift(capsys, tmp_path):
