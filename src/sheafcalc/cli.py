@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .chow import PRESETS, ThreefoldData, load_threefold, threefold_to_dict
-from .errors import DomainError, EngineError, MissingInvariant, NotComputable
+from .errors import DomainError, EngineError, NotComputable
 from .record import Record
 
 PRESETS_ENV = "SHEAFCALC_PRESETS"
@@ -328,17 +328,12 @@ def _cmd_conncomp(args, parser):
                 "generic-case h^2 substitution is only available on p3"
             )
         d = 2 - args.c1
-        entry = generic_dist_cohom(d, -d - 2)[2]
-        if not entry.is_known:
-            raise MissingInvariant(
-                f"generic-case h^2 at degree {d} is only bounded to {entry}; "
-                "supply --h2 explicitly"
-            )
-        h2 = entry.value
+        h2 = generic_dist_cohom(d, -d - 2)[2].value
         h2_origin = "generic-case"
+        # the lemma's closed forms reach twist -d - 2 only up to degree 1
+        h2_source = "serreDuality" if d >= 2 else "lemmaCohomology"
     else:
-        h2 = args.h2
-        h2_origin = "user"
+        h2, h2_origin, h2_source = args.h2, "user", "input"
     report = dist.conn_components(profile, h2, args.c3)
     count = (
         {"kind": "Exact", "value": report.lo}
@@ -359,7 +354,7 @@ def _cmd_conncomp(args, parser):
         },
         "sources": {
             "count": "thmE" if report.kind == "Exact" else "corP3",
-            "h2": "lemmaCohomology" if args.generic else "input",
+            "h2": h2_source,
         },
     }
     return _field_doc(payload)

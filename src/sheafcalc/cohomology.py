@@ -407,20 +407,22 @@ def dist_sequence_tables(d: int, lo: int, hi: int) -> tuple[CohomTable, CohomTab
 
 def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
     """All four cohomology dimensions of F(p) for a generic degree-d
-    distribution on P^3.
+    distribution on P^3, exact at every twist p.
 
-    h^0 and h^1 are closed forms valid for every p; h^2 and h^3 are closed
-    forms for p >= d-4 and fall back to the sequence chaser below that, where
-    an undetermined connecting map can leave them boxed.
+    h^0 and h^1 follow from the sequence, as H^1(O(t)) = H^2(O(t)) = 0.  F is
+    reflexive of rank 2 with c1 = 2 - d, so F* = F(d-2) (Hartshorne, Stable
+    reflexive sheaves, Prop. 1.10), and Serre duality gives h^3(F(p)) =
+    h^0(F*(-p-4)) = h^0(F(d-6-p)); h^2 is what the Euler characteristic
+    leaves.
     """
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
-    h0 = max(0, bott_h(1, 0, p + 2 - d) - comb0(p - 2 * d + 3, 3))
+
+    def sections(t):  # h^0(F(t))
+        return max(0, bott_h(1, 0, t + 2 - d) - comb0(t - 2 * d + 3, 3))
+
+    h0, h3 = sections(p), sections(d - 6 - p)
     h1 = 1 if p == d - 2 else 0
-    result = {0: DimEntry.known(h0), 1: DimEntry.known(h1)}
-    if p >= d - 4:
-        result[2] = DimEntry.known(comb0(2 * d - p - 1, 3))
-        result[3] = DimEntry.known(0)
-        return result
-    result[2], result[3] = les_chase(dist_sequence_tables(d, p, p))[2].column(p)[2:]
-    return result
+    chern = ses_third(line_chern(-2 * d), twist_chern(omega_chern(1), 2 - d, P3), None, P3)
+    h2 = chi_at_twist(chern, p, P3) - h0 + h1 + h3
+    return {i: DimEntry.known(n) for i, n in enumerate((h0, h1, h2, h3))}

@@ -188,8 +188,7 @@ def normalize_chern(c: ChernData, X: ThreefoldData) -> ChernData:
     """Twist representative of a rank-2 triple with c1 in {-1, 0}."""
     if c.rank != 2:
         raise UnsupportedRank("normalization is defined for rank 2")
-    t = -(c.c1 // 2) if c.c1 % 2 == 0 else -((c.c1 + 1) // 2)
-    return twist_chern(c, t, X)
+    return twist_chern(c, -((c.c1 + 1) // 2), X)
 
 
 def normalize(point: SpectrumPoint) -> SpectrumPoint:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 import sys
 
-from . import cohomology as coh
 from .chow import (
     P3,
     ChernData,
@@ -35,7 +34,6 @@ from .chow import (
     sum_chern,
     twist_chern,
 )
-from .cohomology import CohomTable, DimEntry, les_chase
 from .errors import (
     DomainError,
     DslSyntaxError,
@@ -338,73 +336,77 @@ def cohom_of(
     twist_range: tuple[int, int],
     X: ThreefoldData = P3,
     env: dict[str, NamedDecl] | None = None,
-) -> CohomTable:
-    """Cohomology table of the expression over the inclusive twist range.
+):
+    """The CohomTable of the expression over the inclusive twist range.
 
     Entries are exact at atoms (Bott formula) and propagated through declared
     sequences by the dimension chaser; whatever a connecting map leaves
     undetermined stays an interval.  Only available on P^3, so the walk runs
     on P3 whatever name X carries.
     """
+    from . import cohomology as coh  # imported here: parse and chern_of need none of it
+    from .cohomology import CohomTable, DimEntry, les_chase
+
     if not X.is_p3:
         raise NotComputable(f"cohomology tables are only exact on p3, not '{X.name}'")
     lo, hi = twist_range
     if lo > hi:
         raise DomainError(f"empty twist range {lo}..{hi}")
-    return _cohom_walk(e, lo, hi, env, {})
+    memo = {}  # the _facts memo of the whole call
 
+    def walk(e, lo, hi):
+        # Every table of the walk has a column at each twist lo..hi, or none.
+        # A node's facts are read where its Chern data decides which error is
+        # raised first: before the children at coker, ker and dual, after them
+        # at twist and sum.
+        if isinstance(e, AtomO):
+            return coh.line_table(e.t, lo, hi)
+        if isinstance(e, AtomTX):
+            return coh.tangent_table(lo, hi)
+        if isinstance(e, AtomOmega1):
+            return coh.omega1_table(lo, hi)
+        if isinstance(e, AtomNamed):
+            decl = _decl(env, e.name)
+            columns = []
+            for t in range(lo, hi + 1):
+                hints = (decl.cohom_hints.get((i, t)) for i in range(4))
+                columns.append(tuple(
+                    DimEntry.unknown() if n is None else DimEntry.known(n) for n in hints
+                ))
+            return CohomTable.of_columns(P3, decl.chern, lo, columns)
+        if isinstance(e, Twist) or isinstance(e, Dual) and e.reflexive_rank2:
+            # a twist, or F* = F(-c1) for a rank-2 reflexive F: the base's columns
+            shift = e.t if isinstance(e, Twist) else -_facts(e.base, P3, env, memo)[0].c1
+            base = walk(e.base, lo + shift, hi + shift)
+            return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, base.columns)
+        if isinstance(e, Dual):
+            chern, locally_free = _facts(e, P3, env, memo)
+            if not locally_free:
+                # duals of non-locally-free shapes get no dimension information
+                return CohomTable(P3, chern)
+            # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
+            base = walk(e.base, -hi - 4, -lo - 4)
+            columns = [column[::-1] for column in base.columns[::-1]]
+            return CohomTable.of_columns(P3, chern, lo, columns)
+        if isinstance(e, Sum):
+            left = walk(e.left, lo, hi)
+            right = walk(e.right, lo, hi)
+            # a side with no columns adds unknown entries
+            columns = [
+                tuple(a + b for a, b in zip(left.column(t), right.column(t)))
+                for t in range(lo, lo + max(len(left.columns), len(right.columns)))
+            ]
+            return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, columns)
+        if isinstance(e, (Coker, Ker)):
+            blank = CohomTable(P3, _facts(e, P3, env, memo)[0])  # also the rank check
+            ends = (e.sub, e.ambient) if isinstance(e, Coker) else (e.ambient, e.quotient)
+            first, second = (walk(end, lo, hi) for end in ends)
+            if isinstance(e, Coker):
+                return les_chase((first, second, blank))[2]
+            return les_chase((blank, first, second))[0]
+        raise DomainError(f"not a sheaf expression: {e!r}")
 
-def _cohom_walk(e, lo, hi, env, memo) -> CohomTable:
-    # Every table of the walk has a column at each twist lo..hi, or none.
-    # memo is the _facts memo of the whole call.  A node's facts are read
-    # where its Chern data decides which error is raised first: before the
-    # children at coker, ker and dual, after them at twist and sum.
-    if isinstance(e, AtomO):
-        return coh.line_table(e.t, lo, hi)
-    if isinstance(e, AtomTX):
-        return coh.tangent_table(lo, hi)
-    if isinstance(e, AtomOmega1):
-        return coh.omega1_table(lo, hi)
-    if isinstance(e, AtomNamed):
-        decl = _decl(env, e.name)
-        columns = []
-        for t in range(lo, hi + 1):
-            hints = (decl.cohom_hints.get((i, t)) for i in range(4))
-            columns.append(tuple(
-                DimEntry.unknown() if n is None else DimEntry.known(n) for n in hints
-            ))
-        return CohomTable.of_columns(P3, decl.chern, lo, columns)
-    if isinstance(e, Twist) or isinstance(e, Dual) and e.reflexive_rank2:
-        # a twist, or F* = F(-c1) for a rank-2 reflexive F: the base's columns
-        shift = e.t if isinstance(e, Twist) else -_facts(e.base, P3, env, memo)[0].c1
-        base = _cohom_walk(e.base, lo + shift, hi + shift, env, memo)
-        return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, base.columns)
-    if isinstance(e, Dual):
-        chern, locally_free = _facts(e, P3, env, memo)
-        if not locally_free:
-            # duals of non-locally-free shapes get no dimension information
-            return CohomTable(P3, chern)
-        # h^i(E*(t)) = h^(3-i)(E(-t-4)) by Serre duality
-        base = _cohom_walk(e.base, -hi - 4, -lo - 4, env, memo)
-        columns = [column[::-1] for column in base.columns[::-1]]
-        return CohomTable.of_columns(P3, chern, lo, columns)
-    if isinstance(e, Sum):
-        left = _cohom_walk(e.left, lo, hi, env, memo)
-        right = _cohom_walk(e.right, lo, hi, env, memo)
-        # a side with no columns adds unknown entries
-        columns = [
-            tuple(a + b for a, b in zip(left.column(t), right.column(t)))
-            for t in range(lo, lo + max(len(left.columns), len(right.columns)))
-        ]
-        return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, columns)
-    if isinstance(e, (Coker, Ker)):
-        blank = CohomTable(P3, _facts(e, P3, env, memo)[0])  # also the rank check
-        ends = (e.sub, e.ambient) if isinstance(e, Coker) else (e.ambient, e.quotient)
-        first, second = (_cohom_walk(end, lo, hi, env, memo) for end in ends)
-        if isinstance(e, Coker):
-            return les_chase((first, second, blank))[2]
-        return les_chase((blank, first, second))[0]
-    raise DomainError(f"not a sheaf expression: {e!r}")
+    return walk(e, lo, hi)
 
 
 def parse_batch(text: str) -> list[SheafExpr]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
 from sheafcalc.cli import BATCH_TWIST_WIDTH_CAP, main
+from sheafcalc.cohomology import generic_dist_cohom
 from sheafcalc.errors import EngineError
 
 
@@ -204,7 +205,7 @@ def test_non_utf8_batch_file_is_a_domain_error(capsys, tmp_path):
 SUBCOMMAND_MODULES = [
     (["invariants", "--threefold", "p3", "--degree", "2", "--generic"], {"dist"}),
     (["moduli", "--degree", "1", "--format", "json"],
-     {"modulispec", "dist", "sheafdsl", "cohomology"}),  # the resolution's check parses
+     {"modulispec", "dist", "sheafdsl"}),  # the resolution's check parses
     (["cohomology", "--sheaf", "coker(O(-2) -> Omega1(1))", "--twists", "-1..1",
       "--format", "csv"], {"sheafdsl", "cohomology"}),
     (["spectrum", "--threefold", "quintic", "--r", "2", "--normalize"], {"modulispec", "dist"}),
@@ -290,6 +291,19 @@ def test_conncomp_generic_substitution(capsys):
     assert payload["h2"] == 4 and payload["h2_origin"] == "generic-case"
     assert payload["count"] == {"kind": "Exact", "value": 0}
     assert payload["sources"]["h2"] == "lemmaCohomology"
+
+
+def test_conncomp_generic_answers_at_every_degree(capsys):
+    for c1 in range(2, -9, -1):
+        code, out, _ = run_cli(
+            capsys, "conncomp", "--threefold", "p3", "--c1", str(c1), "--generic",
+            "--c3", "0", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        d = 2 - c1
+        assert payload["h2"] == generic_dist_cohom(d, c1 - 4)[2].value
+        assert (payload["sources"]["h2"] == "serreDuality") == (d >= 2)
 
 
 def test_conncomp_interval_output(capsys):

@@ -535,18 +535,32 @@ def _propagated_quotient(d, p):
     return [narrowed[3 * i + 2] for i in range(4)]
 
 
+# the window of twists on which the closed form is held to the chase
+GRID = [(d, p) for d in range(0, 13) for p in range(d - 40, 2 * d + 5)]
+
+
 def test_generic_dist_grid_matches_lemma_and_chase():
-    # generic_dist_cohom and les_chase both solve this sequence in closed
-    # form, so the independent route is propagation
-    bounded = 0
-    for d in range(0, 7):
-        for p in range(d - 12, 2 * d + 4):
-            entries = generic_dist_cohom(d, p)
-            _lemma_checks(d, p, entries)
-            got = [(entries[i].lo, entries[i].hi) for i in range(4)]
-            assert got == _propagated_quotient(d, p)
-            bounded += sum(entries[i].status == "bounded" for i in range(4))
-    assert bounded > 0
+    # every entry is exact and lies in the interval that propagation derives
+    # from the defining sequence, so it equals that interval where it is exact
+    sharper = 0
+    for d, p in GRID:
+        entries = generic_dist_cohom(d, p)
+        _lemma_checks(d, p, entries)
+        for i, (lo, hi) in enumerate(_propagated_quotient(d, p)):
+            value = entries[i].value
+            assert lo <= value and (hi is None or value <= hi)
+            sharper += lo != hi
+    assert sharper > 0
+
+
+def test_generic_dist_cohom_never_chases():
+    with mock.patch.object(
+        cohomology, "les_chase", side_effect=AssertionError("chased")
+    ), mock.patch.object(
+        cohomology, "_propagate", side_effect=AssertionError("propagated")
+    ):
+        for d, p in GRID:
+            assert all(e.is_known for e in generic_dist_cohom(d, p).values())
 
 
 def test_generic_dist_examples():
@@ -557,16 +571,16 @@ def test_generic_dist_examples():
 
 
 def test_generic_dist_chi_consistency():
-    for d in range(0, 5):
+    for d, p in GRID:
         chern = ChernData(2, 2 - d, d * d + 2, d**3 + 2 * d * d + 2 * d)
-        for p in range(d - 4, 2 * d + 4):
-            entries = generic_dist_cohom(d, p)
-            alt = sum((-1) ** i * entries[i].value for i in range(4))
-            assert alt == chi_at_twist(chern, p, P3)
+        entries = generic_dist_cohom(d, p)
+        alt = sum((-1) ** i * entries[i].value for i in range(4))
+        assert alt == chi_at_twist(chern, p, P3)
 
 
-def test_generic_dist_deep_twist_is_bounded():
-    # below the closed-form window the connecting map is undetermined
+def test_generic_dist_deep_twist_is_exact():
+    # the chase leaves the connecting map free here; Serre duality does not
+    assert _propagated_quotient(2, -4)[2:] == [(20, 35), (0, 15)]
     entries = generic_dist_cohom(2, -4)
-    assert entries[2] == DimEntry.bounded(20, 35)
-    assert entries[3] == DimEntry.bounded(0, 15)
+    assert entries[2] == DimEntry.known(20)
+    assert entries[3] == DimEntry.known(0)
