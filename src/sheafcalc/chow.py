@@ -409,7 +409,7 @@ def threefold_to_dict(X: ThreefoldData) -> dict:
 def load_threefold(path: str | Path) -> ThreefoldData:
     """Load a threefold profile from a JSON preset file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read threefold file: {exc}") from exc
     try:

@@ -85,14 +85,15 @@ def _field_doc(payload: dict) -> tuple[dict, list]:
 def _resolve_threefold(name_or_path: str) -> ThreefoldData:
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]
+    # os.path.isfile, unlike Path.is_file, answers False to a name too long
+    # or a directory that cannot be searched
     env_dir = os.environ.get(PRESETS_ENV)
     if env_dir:
         candidate = Path(env_dir) / f"{name_or_path}.json"
-        if candidate.is_file():
+        if os.path.isfile(candidate):
             return load_threefold(candidate)
-    path = Path(name_or_path)
-    if path.is_file():
-        return load_threefold(path)
+    if os.path.isfile(name_or_path):
+        return load_threefold(name_or_path)
     raise DomainError(
         f"unknown threefold '{name_or_path}': not a preset, not a file, and "
         f"not found under ${PRESETS_ENV}"
@@ -257,7 +258,7 @@ def _cmd_cohomology(args, parser):
     if width > BATCH_TWIST_WIDTH_CAP:
         parser.error(f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}")
     try:
-        text = Path(args.batch).read_text()
+        text = Path(args.batch).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read batch file: {exc}") from exc
     results = []
@@ -477,7 +478,12 @@ def main(argv=None) -> int:
         message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
         print(f"{NotComputable.name}: {message}", file=sys.stderr)
         return 3
-    sys.stdout.write(document)
+    try:
+        sys.stdout.write(document)
+    except UnicodeEncodeError as exc:  # the whole document is encoded first
+        message = f"the document has characters that {exc.encoding} cannot encode"
+        print(f"{NotComputable.name}: {message}", file=sys.stderr)
+        return 3
     return 0
 
 

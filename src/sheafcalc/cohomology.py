@@ -105,7 +105,7 @@ def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
     return DimEntry(lo, hi)
 
 
-class CohomTable(Record, frozen=False):
+class CohomTable(Record):
     """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
     columns[k] is the column (h^0, .., h^3) at twist lo + k; entries outside
@@ -120,20 +120,25 @@ class CohomTable(Record, frozen=False):
     columns: list[tuple[DimEntry, ...]]  # shared between tables, never mutated
 
     def __init__(self, X: ThreefoldData, chern: ChernData, entries=None):
-        self.X, self.chern, self.lo, self.columns = X, chern, 0, []
+        lo, columns = 0, []
         if entries:
             twists = [t for _, t in entries]
-            self.lo = min(twists)
-            self.columns = [
+            lo = min(twists)
+            columns = [
                 tuple(entries.get((i, t), _UNKNOWN) for i in range(DIM + 1))
-                for t in range(self.lo, max(twists) + 1)
+                for t in range(lo, max(twists) + 1)
             ]
+        _set(self, "X", X)
+        _set(self, "chern", chern)
+        _set(self, "lo", lo)
+        _set(self, "columns", columns)
 
     @classmethod
     def of_columns(cls, X, chern, lo: int, columns: list) -> "CohomTable":
         table = cls(X, chern)
         if columns:
-            table.lo, table.columns = lo, columns
+            _set(table, "lo", lo)
+            _set(table, "columns", columns)
         return table
 
     @property
@@ -412,9 +417,11 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
     h^0 and h^1 follow from the sequence, as H^1(O(t)) = H^2(O(t)) = 0.  F is
     reflexive of rank 2 with c1 = 2 - d, so F* = F(d-2) (Hartshorne, Stable
     reflexive sheaves, Prop. 1.10), and Serre duality gives h^3(F(p)) =
-    h^0(F*(-p-4)) = h^0(F(d-6-p)); h^2 is what the Euler characteristic
-    leaves.
+    h^0(F*(-p-4)) = h^0(F(d-6-p)); h^2 is what the Euler characteristic of
+    F's Chern data, from dist.dist_chern, leaves.
     """
+    from .dist import DistributionProfile, dist_chern
+
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
 
@@ -423,6 +430,6 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
 
     h0, h3 = sections(p), sections(d - 6 - p)
     h1 = 1 if p == d - 2 else 0
-    chern = ses_third(line_chern(-2 * d), twist_chern(omega_chern(1), 2 - d, P3), None, P3)
+    chern = dist_chern(DistributionProfile(P3, 2 - d))
     h2 = chi_at_twist(chern, p, P3) - h0 + h1 + h3
     return {i: DimEntry.known(n) for i, n in enumerate((h0, h1, h2, h3))}

@@ -4,8 +4,9 @@ A Record subclass declares its fields as annotations, in order; a class
 attribute gives a field its default.  Instances take their fields by position
 or keyword, run ``__post_init__`` if the class defines one, compare equal only
 to instances of the same class with equal fields, hash by their fields and
-repr as ``Name(field=value, ...)``.  They are frozen unless the class is
-declared with ``frozen=False``, which also makes them unhashable.
+repr as ``Name(field=value, ...)``.  They are frozen; one whose fields hold
+a list or a dict is unhashable.  A class that writes its own ``__init__``
+sets its fields with ``_set``.
 
 Fields are set with ``object.__setattr__``, never by writing ``__dict__``:
 on CPython 3.11, touching ``__dict__`` moves an instance's attributes out of
@@ -24,17 +25,14 @@ def _frozen(self, name, *value):
 class Record:
     _fields = ()  # field names, in order
     _defaults = {}
+    __setattr__ = __delattr__ = _frozen
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__annotations__)
         cls._fields = cls._fields + own
         defaults = {name: vars(cls)[name] for name in own if name in vars(cls)}
         cls._defaults = {**cls._defaults, **defaults}
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _frozen
-        else:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields

@@ -200,12 +200,74 @@ def test_non_utf8_batch_file_is_a_domain_error(capsys, tmp_path):
     assert err.startswith("DomainError: cannot read batch file: ")
 
 
+def test_over_long_threefold_names_are_domain_errors(capsys, tmp_path, monkeypatch):
+    # the path and the preset file name exceed NAME_MAX, which stat refuses
+    name = "a" * 5_000
+    argv = ["invariants", "--threefold", name, "--degree", "1", "--generic"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("DomainError: unknown threefold")
+    monkeypatch.setenv("SHEAFCALC_PRESETS", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv[:2], "a" * 300, *argv[3:])
+    assert (code, out) == (3, "")
+    assert err.startswith("DomainError: unknown threefold")
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_module(argv, **env):
+    # python -m sheafcalc.cli in a fresh interpreter, under the given locale
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONIOENCODING", "LANG", "LANGUAGE") and not k.startswith("LC_")}
+    env = dict(base, PYTHONPATH=os.pathsep.join([src, *sys.path]), **env)
+    return subprocess.run([sys.executable, "-m", "sheafcalc.cli", *argv],
+                          capture_output=True, env=env)
+
+
+def _kahler_preset(tmp_path) -> str:
+    # the p3 numbers under a non-ASCII name, written as UTF-8 bytes:
+    # json.dumps alone would escape the name to ASCII
+    doc = dict(threefold_to_dict(P3), name="k\u00e4hler")
+    path = tmp_path / "kahler.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    return str(path)
+
+
+def test_utf8_files_read_the_same_in_an_ascii_locale(tmp_path):
+    (tmp_path / "exprs.txt").write_bytes("# a K\u00e4hler twist\nO(1)\n".encode())
+    runs = [
+        ["invariants", "--threefold", _kahler_preset(tmp_path), "--degree", "1",
+         "--generic", "--format", "json"],
+        ["cohomology", "--batch", str(tmp_path / "exprs.txt"), "--twists", "-1..1",
+         "--format", "json"],
+    ]
+    documents = []
+    for argv in runs:
+        utf8 = _run_module(argv, PYTHONUTF8="1")
+        ascii_run = _run_module(argv, **ASCII_LOCALE)
+        assert (utf8.returncode, utf8.stderr) == (0, b"")
+        assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+        assert ascii_run.stdout == utf8.stdout
+        documents.append(json.loads(utf8.stdout))
+    assert documents[0]["threefold"] == "k\u00e4hler"
+    assert [r["expression"] for r in documents[1]["results"]] == ["O(1)"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_unencodable_output_is_a_typed_error(fmt, tmp_path):
+    child = _run_module(["invariants", "--threefold", _kahler_preset(tmp_path),
+                         "--degree", "1", "--generic", "--format", fmt], **ASCII_LOCALE)
+    assert (child.returncode, child.stdout) == (3, b"")
+    assert child.stderr.startswith(b"NotComputable: ")
+
+
 # Each subcommand with the sheafcalc modules it loads: its handler imports
 # what it uses, and the package itself imports nothing until asked.
 SUBCOMMAND_MODULES = [
     (["invariants", "--threefold", "p3", "--degree", "2", "--generic"], {"dist"}),
-    (["moduli", "--degree", "1", "--format", "json"],
-     {"modulispec", "dist", "sheafdsl"}),  # the resolution's check parses
+    (["moduli", "--degree", "1", "--format", "json"], {"modulispec", "dist"}),
     (["cohomology", "--sheaf", "coker(O(-2) -> Omega1(1))", "--twists", "-1..1",
       "--format", "csv"], {"sheafdsl", "cohomology"}),
     (["spectrum", "--threefold", "quintic", "--r", "2", "--normalize"], {"modulispec", "dist"}),

@@ -32,6 +32,7 @@ from sheafcalc.cohomology import (
     _chase_single_twist,
     _propagate,
 )
+from sheafcalc.dist import DistributionProfile, dist_chern
 from sheafcalc.errors import Inconsistent, NotComputable
 
 
@@ -551,6 +552,14 @@ def test_generic_dist_grid_matches_lemma_and_chase():
             assert lo <= value and (hi is None or value <= hi)
             sharper += lo != hi
     assert sharper > 0
+
+
+def test_dist_sequence_quotient_has_the_distribution_chern_data():
+    # generic_dist_cohom takes F's Chern data from dist_chern; the sequence
+    # route gives the same cubic polynomials in d, so d <= 40 checks them all
+    for d in range(0, 41):
+        quotient = dist_sequence_tables(d, 0, 0)[2]
+        assert quotient.chern == dist_chern(DistributionProfile(P3, 2 - d))
 
 
 def test_generic_dist_cohom_never_chases():

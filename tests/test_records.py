@@ -64,6 +64,7 @@ def test_positional_keyword_and_default_construction():
     (P3, "h3"),
     (AtomO(1), "t"),
     (DistributionProfile(P3, 0), "generic"),
+    (CohomTable(P3, ChernData(1, 0, 0, 0), {(0, 0): DimEntry.known(1)}), "lo"),
 ])
 def test_records_are_frozen(value, field):
     with pytest.raises(AttributeError):
@@ -100,12 +101,16 @@ def test_equal_records_hash_equal_and_tables_stay_unhashable():
         hash(NamedDecl("F", ChernData(1, 0, 0, 0)))
 
 
-def test_cohom_tables_compare_by_value_and_are_mutable():
+def test_cohom_tables_compare_by_value_and_are_frozen():
     a = CohomTable(P3, ChernData(1, 0, 0, 0), {(0, 0): DimEntry.known(1)})
     b = CohomTable(P3, ChernData(1, 0, 0, 0), {(0, 0): DimEntry.known(1)})
     assert a == b
-    b.lo = 1
-    assert a != b
+    assert a != CohomTable.of_columns(P3, a.chern, 1, a.columns)
+    with pytest.raises(AttributeError):
+        b.lo = 1
+    with pytest.raises(AttributeError):
+        b.columns = []
+    assert a == b
 
 
 def test_each_named_declaration_gets_its_own_hints():
