@@ -218,6 +218,7 @@ def _cmd_moduli(args, parser):
 
 
 def _cohom_payload(expr, twists, X):
+    from .cohomology import DimEntry
     from .sheafdsl import cohom_of, pretty
 
     lo, hi = twists
@@ -226,7 +227,7 @@ def _cohom_payload(expr, twists, X):
     rows_json = []
     rows_txt = [["twist", "h0", "h1", "h2", "h3", "chi"]]
     for t in range(lo, hi + 1):
-        col = table.column(t)
+        col = [DimEntry(*x) for x in table.column(t)]
         chi = table.chi(t)
         cells = {f"h{i}": _entry_json(e) for i, e in enumerate(col)}
         rows_json.append({"twist": t, **cells, "chi": chi})

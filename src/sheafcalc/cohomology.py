@@ -4,7 +4,8 @@ Atoms are handled by the closed Bott formula; declared short exact sequences
 are handled by a dimension chaser over the induced long exact sequence, in
 closed form when two terms are exact and the third unknown, by interval
 propagation otherwise.  The chaser never guesses the rank of a connecting map:
-when a rank is genuinely undetermined the answer stays an interval.
+when a rank is genuinely undetermined the answer stays an interval.  Tables
+store each entry as the (lo, hi) pair the chaser reads and writes.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ DIM = 3  # complex dimension of the ambient threefolds
 class DimEntry(Record):
     """One cohomology dimension: known exactly, boxed in an interval, or unknown.
 
-    Stored as a closed interval [lo, hi]; hi is None only in the canonical
-    unknown entry [0, infinity).
+    The closed interval [lo, hi], hi None only in the unknown [0, infinity):
+    the public, validated form of a table's (lo, hi) pair.
     """
 
     lo: int
     hi: int | None
 
     def __init__(self, lo: int, hi: int | None):
-        # written out, as the chaser builds these on its hot paths
+        # written out, as generic_dist_cohom builds four per grid cell
         if lo < 0:
             raise DomainError("dimension lower bound must be >= 0")
         if hi is None:
@@ -81,10 +82,6 @@ class DimEntry(Record):
     def contains(self, n: int) -> bool:
         return self.lo <= n and (self.hi is None or n <= self.hi)
 
-    def __add__(self, other: "DimEntry") -> "DimEntry":
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return _entry_of_interval(self.lo + other.lo, hi)
-
     def __str__(self):
         if self.hi is None:
             return "?"
@@ -94,38 +91,34 @@ class DimEntry(Record):
 
 
 _UNKNOWN = DimEntry(0, None)  # immutable, so one instance serves every miss
-_UNKNOWN_COLUMN = (_UNKNOWN,) * (DIM + 1)
-
-
-def _entry_of_interval(lo: int, hi: int | None) -> DimEntry:
-    # A half-bounded interval is reported as unknown: the table type only
-    # distinguishes exact values, finite boxes and no information.
-    if hi is None:
-        return _UNKNOWN
-    return DimEntry(lo, hi)
+_FREE = (0, None)  # the unknown entry as a pair
+_FREE_COLUMN = (_FREE,) * (DIM + 1)
 
 
 class CohomTable(Record):
     """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
-    columns[k] is the column (h^0, .., h^3) at twist lo + k; entries outside
-    that run are unknown.  CohomTable(X, chern, entries) reads a map (i, twist)
-    -> DimEntry, a missing key as unknown.  The Chern data gives the chaser the
-    Euler characteristic of every twist as an exact cross-check.
+    columns[k] is the column (h^0, .., h^3) at twist lo + k of (lo, hi) pairs,
+    each the unknown (0, None) or 0 <= lo <= hi; column(t) returns them, and
+    (0, None) outside that run.  entry and entries give DimEntry values, and
+    CohomTable(X, chern, entries) reads a map (i, twist) -> DimEntry, a missing
+    key as unknown.  The Chern data gives the chaser the Euler characteristic
+    of every twist as an exact cross-check.
     """
 
     X: ThreefoldData
     chern: ChernData
     lo: int  # 0 when there are no columns, so that equal data compare equal
-    columns: list[tuple[DimEntry, ...]]  # shared between tables, never mutated
+    columns: list[tuple[tuple[int, int | None], ...]]  # shared, never mutated
 
     def __init__(self, X: ThreefoldData, chern: ChernData, entries=None):
         lo, columns = 0, []
         if entries:
             twists = [t for _, t in entries]
             lo = min(twists)
+            pairs = {key: (e.lo, e.hi) for key, e in entries.items()}
             columns = [
-                tuple(entries.get((i, t), _UNKNOWN) for i in range(DIM + 1))
+                tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
                 for t in range(lo, max(twists) + 1)
             ]
         _set(self, "X", X)
@@ -144,10 +137,10 @@ class CohomTable(Record):
     @property
     def entries(self) -> dict[tuple[int, int], DimEntry]:
         cols = zip(self.twists(), self.columns)
-        return {(i, t): e for t, col in cols for i, e in enumerate(col)}
+        return {(i, t): DimEntry(*x) for t, col in cols for i, x in enumerate(col)}
 
     def entry(self, i: int, t: int) -> DimEntry:
-        return self.column(t)[i]
+        return DimEntry(*self.column(t)[i])
 
     def twists(self) -> list[int]:
         return list(range(self.lo, self.lo + len(self.columns)))
@@ -155,15 +148,15 @@ class CohomTable(Record):
     def chi(self, t: int) -> int:
         return chi_at_twist(self.chern, t, self.X)
 
-    def column(self, t: int) -> tuple[DimEntry, ...]:
+    def column(self, t: int) -> tuple[tuple[int, int | None], ...]:
         k = t - self.lo
-        return self.columns[k] if 0 <= k < len(self.columns) else _UNKNOWN_COLUMN
+        return self.columns[k] if 0 <= k < len(self.columns) else _FREE_COLUMN
 
     def check_chi(self) -> None:
         """Raise Inconsistent if an all-known column contradicts chi."""
         for t, col in zip(self.twists(), self.columns):
-            if all(e.is_known for e in col):
-                alt = sum((-1) ** i * col[i].value for i in range(DIM + 1))
+            if all(lo == hi for lo, hi in col):
+                alt = sum((-1) ** i * col[i][0] for i in range(DIM + 1))
                 if alt != self.chi(t):
                     raise Inconsistent(
                         f"column at twist {t} sums to {alt}, chi is {self.chi(t)}"
@@ -222,9 +215,9 @@ def omega_chern(p: int) -> ChernData:
 
 
 def _filled_table(chern, h, lo, hi) -> CohomTable:
-    # the all-known table with entry h(i, t) at each i and lo <= t <= hi
+    # the all-known table with entry h(i, t) >= 0 at each i and lo <= t <= hi
     columns = [
-        tuple(DimEntry.known(h(i, t)) for i in range(DIM + 1))
+        tuple((n, n) for n in [h(i, t) for i in range(DIM + 1)])
         for t in range(lo, hi + 1)
     ]
     return CohomTable.of_columns(P3, chern, lo, columns)
@@ -280,7 +273,6 @@ _RULES = tuple(
     for pos in range(4)
 )
 _EMPTY = "dimension propagation derived an empty interval"
-_FREE = (0, None)  # an entry with no information
 
 
 def _check_additive(chis):
@@ -368,7 +360,7 @@ def les_chase(
     Takes the (already twisted) tables of the three terms and returns narrowed
     copies.  Entries are only ever tightened; an empty interval raises
     Inconsistent, signalling that the input data cannot sit in any exact
-    sequence.
+    sequence.  A kernel result bounded on one side only is stored unknown.
     """
     ta, tb, tc = tables
     if not ta.X == tb.X == tc.X:
@@ -379,13 +371,10 @@ def les_chase(
     chains = []
     for t in range(lo, max(twists, default=-1) + 1):
         # chain order A^0, B^0, C^0, A^1, ...
-        chain = [e for es in zip(ta.column(t), tb.column(t), tc.column(t)) for e in es]
+        xs = [x for x3 in zip(ta.column(t), tb.column(t), tc.column(t)) for x in x3]
         chis = tuple(table.chi(t) for table in tables)
-        xs = [(e.lo, e.hi) for e in chain]
-        # keep every entry the chase did not change
         chains.append([
-            e if x == iv else _entry_of_interval(*iv)
-            for e, x, iv in zip(chain, xs, _chase_single_twist(xs, chis))
+            _FREE if x[1] is None else x for x in _chase_single_twist(xs, chis)
         ])
     return tuple(
         CohomTable.of_columns(ta.X, table.chern, lo, [tuple(c[j::3]) for c in chains])

@@ -345,7 +345,7 @@ def cohom_of(
     on P3 whatever name X carries.
     """
     from . import cohomology as coh  # imported here: parse and chern_of need none of it
-    from .cohomology import CohomTable, DimEntry, les_chase
+    from .cohomology import CohomTable, les_chase
 
     if not X.is_p3:
         raise NotComputable(f"cohomology tables are only exact on p3, not '{X.name}'")
@@ -367,12 +367,9 @@ def cohom_of(
             return coh.omega1_table(lo, hi)
         if isinstance(e, AtomNamed):
             decl = _decl(env, e.name)
-            columns = []
-            for t in range(lo, hi + 1):
-                hints = (decl.cohom_hints.get((i, t)) for i in range(4))
-                columns.append(tuple(
-                    DimEntry.unknown() if n is None else DimEntry.known(n) for n in hints
-                ))
+            columns = [
+                tuple(_hint(decl, i, t) for i in range(4)) for t in range(lo, hi + 1)
+            ]
             return CohomTable.of_columns(P3, decl.chern, lo, columns)
         if isinstance(e, Twist) or isinstance(e, Dual) and e.reflexive_rank2:
             # a twist, or F* = F(-c1) for a rank-2 reflexive F: the base's columns
@@ -391,9 +388,13 @@ def cohom_of(
         if isinstance(e, Sum):
             left = walk(e.left, lo, hi)
             right = walk(e.right, lo, hi)
-            # a side with no columns adds unknown entries
+            # an unknown entry, or a side with no columns, adds unknown entries
             columns = [
-                tuple(a + b for a, b in zip(left.column(t), right.column(t)))
+                tuple(
+                    (0, None) if a[1] is None or b[1] is None
+                    else (a[0] + b[0], a[1] + b[1])
+                    for a, b in zip(left.column(t), right.column(t))
+                )
                 for t in range(lo, lo + max(len(left.columns), len(right.columns)))
             ]
             return CohomTable.of_columns(P3, _facts(e, P3, env, memo)[0], lo, columns)
@@ -407,6 +408,14 @@ def cohom_of(
         raise DomainError(f"not a sheaf expression: {e!r}")
 
     return walk(e, lo, hi)
+
+
+def _hint(decl: NamedDecl, i: int, t: int) -> tuple[int, int | None]:
+    # h^i at twist t as a pair; a dimension is an int >= 0, and a bool is none
+    n = decl.cohom_hints.get((i, t))
+    if n is not None and (type(n) is not int or n < 0):
+        raise DomainError(f"hint h^{i}({decl.name}({t})) is not a dimension: {n!r}")
+    return (0, None) if n is None else (n, n)
 
 
 def parse_batch(text: str) -> list[SheafExpr]:

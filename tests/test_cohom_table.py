@@ -1,6 +1,10 @@
 """The column layout of CohomTable: its dict view, its equality, and the
 index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
 
+import json
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +20,26 @@ from sheafcalc.sheafdsl import (
     Dual,
     Ker,
     NamedDecl,
+    SheafExpr,
     Sum,
     Twist,
     chern_of,
     cohom_of,
     parse,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_documents.json"
+
+
+def _assert_stored_pairs_are_valid(table):
+    # the rule DimEntry checks, which stored pairs keep by construction: an
+    # entry is the unknown (0, None) or ints with 0 <= lo <= hi
+    for column in table.columns:
+        assert len(column) == 4
+        for lo, hi in column:
+            if (lo, hi) != (0, None):
+                assert type(lo) is int and type(hi) is int and 0 <= lo <= hi
 
 
 def _declared(name, src, lo, hi, keep):
@@ -77,10 +95,38 @@ def test_a_wide_range_has_the_columns_of_single_twists(e, lo, width):
         table = cohom_of(e, (lo, hi), P3, ENV)
     except EngineError:
         return
+    _assert_stored_pairs_are_valid(table)
     for t in range(lo, hi + 1):
         single = cohom_of(e, (t, t), P3, ENV)
         assert single.chern == table.chern
         assert single.column(t) == table.column(t)
+
+
+def _golden_sheaves():
+    # (sheaf, twists) of every golden cohomology --sheaf document that succeeds
+    found = set()
+    for case in json.loads(GOLDEN.read_text()):
+        argv = case["argv"]
+        if argv[0] == "cohomology" and "--sheaf" in argv and case["code"] == 0:
+            found.add((argv[argv.index("--sheaf") + 1], argv[argv.index("--twists") + 1]))
+    return sorted(found)
+
+
+def _subtrees(e):
+    yield e
+    for name in e._fields:
+        child = getattr(e, name)
+        if isinstance(child, SheafExpr):
+            yield from _subtrees(child)
+
+
+@pytest.mark.parametrize("src, twists", _golden_sheaves())
+def test_golden_tables_store_only_valid_pairs(src, twists):
+    # every node of the expression, at the document's twists: these include
+    # a sum of a table without columns and a table with them
+    lo, hi = map(int, twists.split(".."))
+    for e in _subtrees(parse(src)):
+        _assert_stored_pairs_are_valid(cohom_of(e, (lo, hi)))
 
 
 dim_entries = st.one_of(
@@ -108,9 +154,10 @@ def test_a_gap_in_a_sparse_dict_reads_as_unknown():
     entries = {(0, -1): DimEntry.known(2), (3, 2): DimEntry.bounded(1, 4)}
     table = CohomTable(P3, line_chern(0), entries)
     assert table.twists() == [-1, 0, 1, 2]
-    assert table.column(-1) == (DimEntry.known(2), unknown, unknown, unknown)
-    assert table.column(0) == table.column(1) == (unknown,) * 4
-    assert table.column(2) == (unknown, unknown, unknown, DimEntry.bounded(1, 4))
+    free = (0, None)
+    assert table.column(-1) == ((2, 2), free, free, free)
+    assert table.column(0) == table.column(1) == (free,) * 4
+    assert table.column(2) == (free, free, free, (1, 4))
     assert table.entry(0, -2) == table.entry(3, 3) == unknown
     assert len(table.entries) == 16 and table.entries[(1, 0)] == unknown
 
@@ -139,6 +186,6 @@ def test_a_sequence_of_tables_without_columns_is_unknown_everywhere():
     )
     table = cohom_of(parse(src), (-2, 2))
     assert table.twists() == []
-    assert all(table.column(t) == (DimEntry.unknown(),) * 4 for t in range(-2, 3))
+    assert all(table.column(t) == ((0, None),) * 4 for t in range(-2, 3))
     blanks = tuple(CohomTable(P3, line_chern(0)) for _ in range(3))
     assert les_chase(blanks) == blanks

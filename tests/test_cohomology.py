@@ -107,7 +107,24 @@ def test_tangent_table_matches_chi():
 
 def test_chase_forces_degree_one_quotient():
     ta, tb, tc = les_chase(dist_sequence_tables(1, 0, 0))
-    assert tc.column(0) == tuple(DimEntry.known(0) for _ in range(4))
+    assert tc.column(0) == ((0, 0),) * 4
+
+
+def test_chase_stores_a_half_bounded_result_as_unknown():
+    # with only h^3(C) = 0 known, the kernel bounds h^1(C) >= 1 from below
+    # alone; a table holds no half-bounded pair, so it stores h^1(C) unknown
+    xs = [(0, None)] * 11 + [(0, 0)]
+    assert _chase_single_twist(xs, (0, -1, -1))[5] == (1, None)
+    chern = ChernData(1, -4, 0, 0)
+    assert chi_at_twist(chern, 0, P3) == -1
+    tables = (
+        CohomTable(P3, ChernData(0, 0, 0, 0)),
+        CohomTable(P3, chern),
+        CohomTable(P3, chern, {(3, 0): DimEntry.known(0)}),
+    )
+    tc = les_chase(tables)[2]
+    assert tc.column(0) == ((0, None), (0, None), (0, None), (0, 0))
+    assert tc.entry(1, 0) == DimEntry.unknown()
 
 
 def test_chase_degree_two_h1_is_one():
@@ -530,9 +547,9 @@ def _lemma_checks(d, p, entries):
 
 def _propagated_quotient(d, p):
     tables = dist_sequence_tables(d, p, p)
-    column = [table.entry(i, p) for i in range(4) for table in tables]
+    xs = [table.column(p)[i] for i in range(4) for table in tables]
     chis = tuple(table.chi(p) for table in tables)
-    narrowed = _propagate([(e.lo, e.hi) for e in column], chis)
+    narrowed = _propagate(xs, chis)
     return [narrowed[3 * i + 2] for i in range(4)]
 
 

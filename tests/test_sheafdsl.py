@@ -20,6 +20,7 @@ from sheafcalc.cohomology import (
     tangent_table,
 )
 from sheafcalc.errors import (
+    DomainError,
     DslSyntaxError,
     Inconsistent,
     NotComputable,
@@ -402,7 +403,7 @@ def test_cohom_of_chi_consistency():
     for src in ["TX(-2)", "coker(O(-4) -> Omega1(0))", "ker(TX -> O(4))"]:
         table = cohom_of(parse(src), (-3, 3))
         for t in range(-3, 4):
-            col = table.column(t)
+            col = [table.entry(i, t) for i in range(4)]
             if all(e.is_known for e in col):
                 alt = sum((-1) ** i * col[i].value for i in range(4))
                 assert alt == table.chi(t)
@@ -439,6 +440,20 @@ def test_named_hints_enter_the_chase():
     table = cohom_of(parse("E"), (0, 0), P3, env)
     assert table.entry(1, 0) == DimEntry.known(1)
     assert table.entry(2, 0) == DimEntry.known(1)
+
+
+@pytest.mark.parametrize("hint", [-1, 2.5, True, "3"])
+def test_a_hint_that_is_no_dimension_is_refused(hint):
+    env = {"E": NamedDecl("E", ChernData(2, 0, 6, 20), {(0, 0): hint})}
+    with pytest.raises(DomainError):
+        cohom_of(parse("E"), (0, 0), P3, env)
+
+
+def test_a_none_hint_is_unknown():
+    env = {"E": NamedDecl("E", ChernData(2, 0, 6, 20), {(0, 0): None, (1, 0): 0})}
+    table = cohom_of(parse("E"), (0, 0), P3, env)
+    assert table.entry(0, 0) == DimEntry.unknown()
+    assert table.entry(1, 0) == DimEntry.known(0)
 
 
 def test_parse_batch_skips_comments():
