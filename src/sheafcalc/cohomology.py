@@ -95,6 +95,14 @@ _FREE = (0, None)  # the unknown entry as a pair
 _FREE_COLUMN = (_FREE,) * (DIM + 1)
 
 
+def _int_pair(key, e: DimEntry) -> tuple[int, int | None]:
+    # DimEntry checks signs and order only; a table's bounds are ints, and a
+    # bool is none
+    if type(e.lo) is not int or e.hi is not None and type(e.hi) is not int:
+        raise DomainError(f"entry {key} has a bound that is not an int: {e!r}")
+    return e.lo, e.hi
+
+
 class CohomTable(Record):
     """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
@@ -102,8 +110,9 @@ class CohomTable(Record):
     each the unknown (0, None) or 0 <= lo <= hi; column(t) returns them, and
     (0, None) outside that run.  entry and entries give DimEntry values, and
     CohomTable(X, chern, entries) reads a map (i, twist) -> DimEntry, a missing
-    key as unknown.  The Chern data gives the chaser the Euler characteristic
-    of every twist as an exact cross-check.
+    key as unknown, and refuses a bound that is not an int.  The Chern data
+    gives the chaser the Euler characteristic of every twist as an exact
+    cross-check.
     """
 
     X: ThreefoldData
@@ -116,7 +125,7 @@ class CohomTable(Record):
         if entries:
             twists = [t for _, t in entries]
             lo = min(twists)
-            pairs = {key: (e.lo, e.hi) for key, e in entries.items()}
+            pairs = {key: _int_pair(key, e) for key, e in entries.items()}
             columns = [
                 tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
                 for t in range(lo, max(twists) + 1)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
-from sheafcalc.cli import BATCH_TWIST_WIDTH_CAP, main
+from sheafcalc.cli import BATCH_TWIST_WIDTH_CAP, OutputDocument, _json_text, main
 from sheafcalc.cohomology import generic_dist_cohom
 from sheafcalc.errors import EngineError
 
@@ -625,3 +626,116 @@ def _argv_with_extreme_ints(draw):
 @settings(max_examples=200, deadline=None)
 def test_extreme_integers_exit_with_a_documented_code(argv):
     _assert_documented_exit(*_run_main(argv))
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer, against json.dumps(indent=2) as the reference.
+
+# the digit limit, or a size of the same order where Python has none
+WIDE = DIGIT_LIMIT or 4300
+# ints of WIDE - 1 to WIDE + 1 digits, either sign, built from digit counts:
+# Hypothesis would repr a list of such ints, and repr fails past the limit
+near_limit = st.tuples(
+    st.integers(WIDE - 1, WIDE + 1), st.booleans(), st.sampled_from([1, -1])
+).map(lambda p: p[2] * (10 ** p[0] - 1 if p[1] else 10 ** (p[0] - 1)))
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600𐏿'),
+    st.characters(blacklist_categories=()),  # every code point, lone surrogates too
+))
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), near_limit, json_strings
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _written(write, x):
+    # the text, or the digit limit's ValueError as (name, message)
+    try:
+        return write(x)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_the_json_writer_writes_what_json_dumps_writes(x):
+    expected = _written(lambda x: json.dumps(x, indent=2), x)
+    assert _written(_json_text, x) == expected
+    document = _written(lambda x: OutputDocument("json", x, None).render(), x)
+    assert document == (expected + "\n" if isinstance(expected, str) else expected)
+
+
+def test_the_json_writer_writes_every_golden_payload():
+    cases = json.loads((Path(__file__).parent / "golden" / "cli_documents.json").read_text())
+    documents = [
+        case["stdout"] for case in cases
+        if case["code"] == 0 and case["argv"][-2:] == ["--format", "json"]
+    ]
+    assert len(documents) >= 15
+    for document in documents:
+        payload = json.loads(document)
+        assert _json_text(payload) + "\n" == document
+        assert json.dumps(payload, indent=2) + "\n" == document
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1, 2}, [0, {"a": 2.0}], {"a": frozenset()}, {1: "int key"}, object()]
+)
+def test_the_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+# ---------------------------------------------------------------------------
+# JSON and CSV documents are built apart; one run's two documents must agree.
+
+AGREEMENT_BATCHES = [
+    # the golden batch file
+    "# one expression per line\nO(1)\ncoker(O(-2) -> Omega1(1))  # F\n",
+    # bounded entries, and tables of '?' alone
+    "coker(rdual(coker(O(-1) -> TX)) -> twist(dual(Omega1), 1) + O(1))\n"
+    "ker(dual(O(-1) + Omega1) -> O(3))\n"
+    "coker(dual(coker(O(-1) -> O(0) + O(0))) -> dual(coker(O(-2) -> O(0) + O(0) + O(0))))\n"
+    "dual(coker(O(-1) -> TX)) + O(1)\n",
+    "twist(rdual(ker(TX -> O(4))), -2)\nO(1) + Omega1(2) + TX(-3)\n",
+    "# no expression\n",
+]
+
+
+def _cell_text(cell):
+    if cell["status"] == "known":
+        return str(cell["value"])
+    if cell["status"] == "bounded":
+        return f"{cell['lo']}..{cell['hi']}"
+    assert cell == {"status": "unknown"}
+    return "?"
+
+
+@pytest.mark.parametrize(
+    "batch", AGREEMENT_BATCHES, ids=["golden", "bounded and unknown", "sums", "empty"]
+)
+def test_json_and_csv_documents_of_a_batch_agree(batch, capsys, tmp_path):
+    path = tmp_path / "batch.txt"
+    path.write_text(batch)
+    documents = {}
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(
+            capsys, "cohomology", "--batch", str(path), "--twists", "-4..3", "--format", fmt
+        )
+        assert code == 0 and err == ""
+        documents[fmt] = out
+    expected = [["expression", "twist", "h0", "h1", "h2", "h3", "chi"]] + [
+        [result["expression"], str(row["twist"])]
+        + [_cell_text(row[f"h{i}"]) for i in range(4)]
+        + [str(row["chi"])]
+        for result in json.loads(documents["json"])["results"]
+        for row in result["table"]
+    ]
+    assert list(csv.reader(io.StringIO(documents["csv"]))) == expected

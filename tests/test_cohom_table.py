@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, line_chern
 from sheafcalc.cohomology import CohomTable, DimEntry, bott_h, les_chase, line_table
-from sheafcalc.errors import EngineError
+from sheafcalc.errors import DomainError, EngineError
+from sheafcalc.record import _set
 from sheafcalc.sheafdsl import (
     AtomNamed,
     AtomO,
@@ -160,6 +161,26 @@ def test_a_gap_in_a_sparse_dict_reads_as_unknown():
     assert table.column(2) == (free, free, free, (1, 4))
     assert table.entry(0, -2) == table.entry(3, 3) == unknown
     assert len(table.entries) == 16 and table.entries[(1, 0)] == unknown
+
+
+def _entry_past_its_checks(lo, hi):
+    # DimEntry compares its bounds with 0, which a str fails with TypeError;
+    # built past that, a str reaches the table's own check
+    entry = object.__new__(DimEntry)
+    _set(entry, "lo", lo)
+    _set(entry, "hi", hi)
+    return entry
+
+
+@pytest.mark.parametrize("bound", [2.5, True, "3"])
+def test_the_dict_refuses_a_bound_that_is_no_int(bound):
+    if not isinstance(bound, str):
+        with pytest.raises(DomainError, match="not an int"):
+            CohomTable(P3, line_chern(0), {(0, 0): DimEntry.known(bound)})
+    for lo, hi in [(bound, bound), (0, bound), (bound, None)]:
+        entries = {(1, 0): DimEntry.known(1), (0, 0): _entry_past_its_checks(lo, hi)}
+        with pytest.raises(DomainError, match="not an int"):
+            CohomTable(P3, line_chern(0), entries)
 
 
 def test_equal_tables_compare_equal():
