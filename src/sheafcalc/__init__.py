@@ -1,7 +1,7 @@
 """sheafcalc: exact invariants of codimension-one distributions and rank-2
 reflexive sheaves on smooth projective threefolds with Picard rank one.
 
-Everything is computed in exact integer/rational arithmetic; every value is
+Everything is computed in exact integer arithmetic; every value is
 immutable and every operation is a pure function.
 
 The package imports its modules on first use of a name (PEP 562), so that a
@@ -13,10 +13,9 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "chow": "P3 PRESETS QUADRIC QUINTIC ChernData ChowClass ThreefoldData "
-    "ch_to_chern chern_to_ch chi_at_twist dual_chern hrr_chi line_chern "
-    "load_threefold reflexive_dual_rank2 ses_third sum_chern "
-    "threefold_from_dict threefold_to_dict todd_class twist_chern",
+    "chow": "P3 PRESETS QUADRIC QUINTIC ChernData ThreefoldData chi_at_twist "
+    "dual_chern hrr_chi line_chern load_threefold reflexive_dual_rank2 ses_third "
+    "sum_chern threefold_from_dict threefold_to_dict twist_chern",
     "cohomology": "CohomTable DimEntry bott_h generic_dist_cohom les_chase line_h "
     "omega_chern serre_tangent_h",
     "dist": "ConnReport DistributionProfile StabilityVerdict SubfoliationReport "

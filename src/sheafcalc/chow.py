@@ -1,12 +1,10 @@
 """Exact numerical intersection theory on Picard-rank-one threefolds.
 
-All classes are encoded by the integers that survive pairing against powers
-of the ample generator H: a sheaf is (rank, c1, c2.H, deg c3), a graded class
-is four exact rationals (coefficients of 1, H, H^2, H^3).  Every operation is
-a pure function over immutable values; nothing here ever touches floats.
-Twists, sums, third terms of sequences and Riemann-Roch all run on one
-integer Chern character (rank, c1, 2.h3.ch_2, 6.h3.ch_3), at every rank;
-ChowClass is the rational API and the tests' reference for that arithmetic.
+A sheaf is encoded by the integers that survive pairing against powers of
+the ample generator H: (rank, c1, c2.H, deg c3).  Every operation is a pure
+function over immutable values; nothing here ever touches floats.  Twists,
+sums, third terms of sequences and Riemann-Roch all run on one integer Chern
+character (rank, c1, 2.h3.ch_2, 6.h3.ch_3), at every rank.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ _TX_FLAGS = (TX_STABLE, TX_SEMISTABLE, TX_UNKNOWN)
 
 
 def _fraction(*args) -> Fraction:
-    # imported here, as only the rational API and error messages use it
+    # imported here, as only the NonIntegralChernClass and NonIntegralChi
+    # messages use it
     from fractions import Fraction
 
     return Fraction(*args)
@@ -141,106 +140,10 @@ def line_chern(t: int) -> ChernData:
     return ChernData(1, t, 0, 0)
 
 
-class ChowClass(Record):
-    """Graded rational class a0 + a1.H + a2.H^2 + a3.H^3, truncated in degree 3."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-
-    @staticmethod
-    def of(a0, a1=0, a2=0, a3=0) -> "ChowClass":
-        return ChowClass(_fraction(a0), _fraction(a1), _fraction(a2), _fraction(a3))
-
-    @staticmethod
-    def exp_divisor(t: int) -> "ChowClass":
-        """exp(t.H) = 1 + tH + t^2/2 H^2 + t^3/6 H^3."""
-        return ChowClass.of(1, t, _fraction(t * t, 2), _fraction(t**3, 6))
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(
-            self.a0 + other.a0,
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-        )
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(
-            self.a0 - other.a0,
-            self.a1 - other.a1,
-            self.a2 - other.a2,
-            self.a3 - other.a3,
-        )
-
-    def __mul__(self, other: "ChowClass") -> "ChowClass":
-        u, v = self, other
-        return ChowClass(
-            u.a0 * v.a0,
-            u.a0 * v.a1 + u.a1 * v.a0,
-            u.a0 * v.a2 + u.a1 * v.a1 + u.a2 * v.a0,
-            u.a0 * v.a3 + u.a1 * v.a2 + u.a2 * v.a1 + u.a3 * v.a0,
-        )
-
-    def top_degree(self, h3: int) -> Fraction:
-        """Degree of the codimension-3 piece: pairing H^3 against the class."""
-        return self.a3 * h3
-
-
-def chern_to_ch(c: ChernData, X: ThreefoldData) -> ChowClass:
-    """Chern character of a sheaf with the given Chern data.
-
-    Valid for any rank on a threefold since only c1..c3 enter ch_0..ch_3.
-    """
-    h3 = X.h3
-    return ChowClass(
-        _fraction(c.rank),
-        _fraction(c.c1),
-        _fraction(c.c1**2 * h3 - 2 * c.n2, 2 * h3),
-        _fraction(c.c1**3 * h3 - 3 * c.c1 * c.n2 + 3 * c.n3, 6 * h3),
-    )
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralChernClass(f"{what} = {x} is not an integer")
-    return int(x)
-
-
-def ch_to_chern(ch: ChowClass, X: ThreefoldData) -> ChernData:
-    """Invert chern_to_ch via Newton's identities; bit-exact round trip.
-
-    Raises NonIntegralChernClass when the input cannot come from an actual
-    sheaf on X (non-integer rank or Chern numbers), which is how inconsistent
-    declared exact sequences are detected.
-    """
-    h3 = X.h3
-    rank = _as_int(ch.a0, "rank")
-    if rank < 0:
-        raise NonIntegralChernClass(f"rank = {rank} is negative")
-    c1 = _as_int(ch.a1, "c1")
-    n2 = _as_int(_fraction(c1**2, 2) * h3 - ch.a2 * h3, "c2.H")
-    n3 = _as_int(
-        2 * ch.a3 * h3 - _fraction(c1**3 * h3 - 3 * c1 * n2, 3), "deg c3"
-    )
-    return ChernData(rank, c1, n2, n3)
-
-
-def todd_class(X: ThreefoldData) -> ChowClass:
-    """td(X) = 1 + c1/2 + (c1^2 + c2)/12 + c1.c2/24, as a graded class."""
-    h3 = X.h3
-    return ChowClass(
-        _fraction(1),
-        _fraction(X.cX, 2),
-        _fraction(X.cX**2 * h3 + X.c2TX_H, 12 * h3),
-        _fraction(X.cX * X.c2TX_H, 24 * h3),
-    )
-
-
 def _ch(c: ChernData, h3: int) -> tuple[int, int, int, int]:
     """Integer Chern character (rank, c1, q2, N3) = (ch_0, ch_1, 2.h3.ch_2,
-    6.h3.ch_3): chern_to_ch scaled to integers, additive over sequences."""
+    6.h3.ch_3): the rational character scaled to integers, additive over
+    sequences."""
     c1, n2 = c.c1, c.n2
     return (
         c.rank,
@@ -262,7 +165,9 @@ def _ch_twist(ch, t: int, h3: int) -> tuple[int, int, int, int]:
 
 
 def _chern(ch, h3: int) -> ChernData:
-    """Inverse of _ch, with ch_to_chern's checks and messages."""
+    """Inverse of _ch.  NonIntegralChernClass when no sheaf on X has this
+    character (negative rank, non-integer Chern numbers): this is how a
+    declared sequence that cannot be exact is detected."""
     r, c1, q2, N3 = ch
     if r < 0:
         raise NonIntegralChernClass(f"rank = {r} is negative")
@@ -406,6 +311,16 @@ def threefold_to_dict(X: ThreefoldData) -> dict:
     return {key: getattr(X, key) for key in _SCHEMA}
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of two values silently
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DomainError(f"threefold document repeats key '{key}'")
+        doc[key] = value
+    return doc
+
+
 def load_threefold(path: str | Path) -> ThreefoldData:
     """Load a threefold profile from a JSON preset file."""
     try:
@@ -413,7 +328,7 @@ def load_threefold(path: str | Path) -> ThreefoldData:
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read threefold file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
         raise DomainError(f"invalid JSON in threefold file: {exc}") from exc
     return threefold_from_dict(doc)

@@ -54,10 +54,6 @@ class DimEntry(Record):
         return DimEntry(n, n)
 
     @staticmethod
-    def bounded(lo: int, hi: int) -> "DimEntry":
-        return DimEntry(lo, hi)
-
-    @staticmethod
     def unknown() -> "DimEntry":
         return _UNKNOWN
 
@@ -160,16 +156,6 @@ class CohomTable(Record):
     def column(self, t: int) -> tuple[tuple[int, int | None], ...]:
         k = t - self.lo
         return self.columns[k] if 0 <= k < len(self.columns) else _FREE_COLUMN
-
-    def check_chi(self) -> None:
-        """Raise Inconsistent if an all-known column contradicts chi."""
-        for t, col in zip(self.twists(), self.columns):
-            if all(lo == hi for lo, hi in col):
-                alt = sum((-1) ** i * col[i][0] for i in range(DIM + 1))
-                if alt != self.chi(t):
-                    raise Inconsistent(
-                        f"column at twist {t} sums to {alt}, chi is {self.chi(t)}"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -344,8 +344,8 @@ def cohom_of(
     undetermined stays an interval.  Only available on P^3, so the walk runs
     on P3 whatever name X carries.
     """
-    from . import cohomology as coh  # imported here: parse and chern_of need none of it
-    from .cohomology import CohomTable, les_chase
+    # imported here: parse and chern_of need none of it
+    from .cohomology import CohomTable, les_chase, line_table, omega1_table, tangent_table
 
     if not X.is_p3:
         raise NotComputable(f"cohomology tables are only exact on p3, not '{X.name}'")
@@ -360,11 +360,11 @@ def cohom_of(
         # raised first: before the children at coker, ker and dual, after them
         # at twist and sum.
         if isinstance(e, AtomO):
-            return coh.line_table(e.t, lo, hi)
+            return line_table(e.t, lo, hi)
         if isinstance(e, AtomTX):
-            return coh.tangent_table(lo, hi)
+            return tangent_table(lo, hi)
         if isinstance(e, AtomOmega1):
-            return coh.omega1_table(lo, hi)
+            return omega1_table(lo, hi)
         if isinstance(e, AtomNamed):
             decl = _decl(env, e.name)
             columns = [

@@ -8,13 +8,12 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from chow_reference import ch_to_chern, chern_to_ch
 
 from sheafcalc.chow import (
     P3,
     QUINTIC,
     ChernData,
-    ch_to_chern,
-    chern_to_ch,
     comb0,
     hrr_chi,
     line_chern,

@@ -183,7 +183,11 @@ def test_unknown_threefold(capsys):
 @pytest.mark.parametrize("content, reason", [
     (b'{"name": "\xff"}', "cannot read threefold file: "),
     (b"[" * 100_000 + b"]" * 100_000, "invalid JSON in threefold file: "),
-], ids=["not-utf-8", "nested-100000-deep"])
+    # a valid preset but for the second h3, which json.loads alone would keep
+    (b'{"name": "dup", "h3": 1, "cX": 4, "c2TX_H": 6, "c3TX": 4, "rhoX": 2, "gammaX": 2, '
+     b'"tx_stable": "stable", "h1_line_vanishing": true, "h3": 2}',
+     "threefold document repeats key 'h3'"),
+], ids=["not-utf-8", "nested-100000-deep", "repeated-key"])
 def test_unreadable_preset_is_a_domain_error(content, reason, capsys, tmp_path, monkeypatch):
     (tmp_path / "bad.json").write_bytes(content)
     monkeypatch.setenv("SHEAFCALC_PRESETS", str(tmp_path))
@@ -296,7 +300,7 @@ def test_subcommand_loads_only_the_modules_it_uses(argv, modules):
                            capture_output=True, text=True, env=env)
     code, loaded = json.loads(child.stderr.splitlines()[-1])
     assert code == 0 and child.stdout
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not {"dataclasses", "fractions", "inspect"} & set(loaded)
     ours = {m.split(".", 1)[1] for m in loaded if m.startswith("sheafcalc.")}
     assert ours == {"cli", "chow", "errors", "record"} | modules
 

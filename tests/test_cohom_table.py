@@ -133,7 +133,7 @@ def test_golden_tables_store_only_valid_pairs(src, twists):
 dim_entries = st.one_of(
     st.integers(0, 9).map(DimEntry.known),
     st.tuples(st.integers(0, 9), st.integers(1, 5)).map(
-        lambda p: DimEntry.bounded(p[0], p[0] + p[1])
+        lambda p: DimEntry(p[0], p[0] + p[1])
     ),
     st.just(DimEntry.unknown()),
 )
@@ -152,7 +152,7 @@ def test_a_contiguous_dict_round_trips(lo, width, data):
 
 def test_a_gap_in_a_sparse_dict_reads_as_unknown():
     unknown = DimEntry.unknown()
-    entries = {(0, -1): DimEntry.known(2), (3, 2): DimEntry.bounded(1, 4)}
+    entries = {(0, -1): DimEntry.known(2), (3, 2): DimEntry(1, 4)}
     table = CohomTable(P3, line_chern(0), entries)
     assert table.twists() == [-1, 0, 1, 2]
     free = (0, None)

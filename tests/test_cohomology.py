@@ -98,7 +98,11 @@ def test_serre_tangent_values():
 
 def test_tangent_table_matches_chi():
     table = tangent_table(-6, 3)
-    table.check_chi()
+    assert table.twists() == list(range(-6, 4))
+    for t in table.twists():
+        column = table.column(t)
+        assert all(lo == hi for lo, hi in column)
+        assert sum((-1) ** i * lo for i, (lo, _) in enumerate(column)) == table.chi(t)
 
 
 # ---------------------------------------------------------------------------
