@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "chow": "P3 PRESETS QUADRIC QUINTIC ChernData ThreefoldData chi_at_twist "
-    "dual_chern hrr_chi line_chern load_threefold reflexive_dual_rank2 ses_third "
+    "dual_chern line_chern load_threefold reflexive_dual_rank2 ses_third "
     "sum_chern threefold_from_dict threefold_to_dict twist_chern",
     "cohomology": "CohomTable DimEntry bott_h generic_dist_cohom les_chase line_h "
     "omega_chern serre_tangent_h",

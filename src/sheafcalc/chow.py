@@ -10,7 +10,7 @@ character (rank, c1, 2.h3.ch_2, 6.h3.ch_3), at every rank.
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 from .errors import (
@@ -27,14 +27,6 @@ TX_STABLE = "stable"
 TX_SEMISTABLE = "semistable"
 TX_UNKNOWN = "unknown"
 _TX_FLAGS = (TX_STABLE, TX_SEMISTABLE, TX_UNKNOWN)
-
-
-def _fraction(*args) -> Fraction:
-    # imported here, as only the NonIntegralChernClass and NonIntegralChi
-    # messages use it
-    from fractions import Fraction
-
-    return Fraction(*args)
 
 
 def comb0(n: int, k: int) -> int:
@@ -131,9 +123,6 @@ class ChernData(Record):
         if rank < 0:
             raise DomainError(f"rank must be >= 0, got {rank}")
 
-    def triple(self) -> tuple[int, int, int]:
-        return (self.c1, self.n2, self.n3)
-
 
 def line_chern(t: int) -> ChernData:
     """Chern data of the line bundle O(t)."""
@@ -171,37 +160,31 @@ def _chern(ch, h3: int) -> ChernData:
     r, c1, q2, N3 = ch
     if r < 0:
         raise NonIntegralChernClass(f"rank = {r} is negative")
-    n2, rem = divmod(c1 * c1 * h3 - q2, 2)
+    num2 = c1 * c1 * h3 - q2
+    n2, rem = divmod(num2, 2)
     if rem:
-        raise NonIntegralChernClass(
-            f"c2.H = {_fraction(c1 * c1 * h3 - q2, 2)} is not an integer"
-        )
+        raise NonIntegralChernClass(f"c2.H = {num2}/2 is not an integer")
     num3 = N3 - c1 * c1 * c1 * h3 + 3 * c1 * n2
     n3, rem = divmod(num3, 3)
     if rem:
-        raise NonIntegralChernClass(
-            f"deg c3 = {_fraction(num3, 3)} is not an integer"
-        )
+        raise NonIntegralChernClass(f"deg c3 = {num3}/3 is not an integer")
     return ChernData(r, c1, n2, n3)
-
-
-def hrr_chi(c: ChernData, X: ThreefoldData) -> int:
-    """Euler characteristic chi(E) = deg(ch(E).td(X))_3, exactly."""
-    return chi_at_twist(c, 0, X)
 
 
 def chi_at_twist(c: ChernData, t: int, X: ThreefoldData) -> int:
     """chi of the sheaf twisted by O(t): Hirzebruch-Riemann-Roch in closed form.
 
-    deg(ch(E(t)).td(X))_3 is num / 24 on the integer character of E(t).
+    chi(E(t)) = deg(ch(E(t)).td(X))_3 is num / 24 on the integer character of
+    E(t); t = 0 gives chi(E).
     """
     h3, cX, c2X = X.h3, X.cX, X.c2TX_H
     r, c1, N2, N3 = _ch_twist(_ch(c, h3), t, h3)
     num = 4 * N3 + 6 * cX * N2 + 2 * c1 * (cX * cX * h3 + c2X) + r * cX * c2X
     chi, rem = divmod(num, 24)
     if rem:
+        g = gcd(num, 24)
         raise NonIntegralChi(
-            f"chi = {_fraction(num, 24)} is not an integer on '{X.name}'"
+            f"chi = {num // g}/{24 // g} is not an integer on '{X.name}'"
         )
     return chi
 

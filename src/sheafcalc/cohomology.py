@@ -31,7 +31,7 @@ class DimEntry(Record):
     """One cohomology dimension: known exactly, boxed in an interval, or unknown.
 
     The closed interval [lo, hi], hi None only in the unknown [0, infinity):
-    the public, validated form of a table's (lo, hi) pair.
+    the value generic_dist_cohom returns and the command line prints.
     """
 
     lo: int
@@ -49,14 +49,6 @@ class DimEntry(Record):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
-    @staticmethod
-    def known(n: int) -> "DimEntry":
-        return DimEntry(n, n)
-
-    @staticmethod
-    def unknown() -> "DimEntry":
-        return _UNKNOWN
-
     @property
     def status(self) -> str:
         if self.hi is None:
@@ -66,17 +58,10 @@ class DimEntry(Record):
         return "bounded"
 
     @property
-    def is_known(self) -> bool:
-        return self.hi is not None and self.hi == self.lo
-
-    @property
     def value(self) -> int:
-        if not self.is_known:
+        if self.hi != self.lo:
             raise DomainError(f"entry {self} has no exact value")
         return self.lo
-
-    def contains(self, n: int) -> bool:
-        return self.lo <= n and (self.hi is None or n <= self.hi)
 
     def __str__(self):
         if self.hi is None:
@@ -86,29 +71,31 @@ class DimEntry(Record):
         return f"{self.lo}..{self.hi}"
 
 
-_UNKNOWN = DimEntry(0, None)  # immutable, so one instance serves every miss
-_FREE = (0, None)  # the unknown entry as a pair
+_FREE = (0, None)  # the unknown entry
 _FREE_COLUMN = (_FREE,) * (DIM + 1)
 
 
-def _int_pair(key, e: DimEntry) -> tuple[int, int | None]:
-    # DimEntry checks signs and order only; a table's bounds are ints, and a
-    # bool is none
-    if type(e.lo) is not int or e.hi is not None and type(e.hi) is not int:
-        raise DomainError(f"entry {key} has a bound that is not an int: {e!r}")
-    return e.lo, e.hi
+def _pair(key, x) -> tuple[int, int | None]:
+    # a table entry: ints 0 <= lo <= hi, or the unknown (0, None); a bool is
+    # no int
+    if isinstance(x, tuple) and len(x) == 2 and type(x[0]) is int:
+        lo, hi = x
+        if hi is None and lo == 0 or type(hi) is int and 0 <= lo <= hi:
+            return lo, hi
+    raise DomainError(
+        f"entry {key} is not a pair 0 <= lo <= hi of ints or (0, None): {x!r}"
+    )
 
 
 class CohomTable(Record):
     """The cohomology of one sheaf at consecutive twists, with its Chern data.
 
     columns[k] is the column (h^0, .., h^3) at twist lo + k of (lo, hi) pairs,
-    each the unknown (0, None) or 0 <= lo <= hi; column(t) returns them, and
-    (0, None) outside that run.  entry and entries give DimEntry values, and
-    CohomTable(X, chern, entries) reads a map (i, twist) -> DimEntry, a missing
-    key as unknown, and refuses a bound that is not an int.  The Chern data
-    gives the chaser the Euler characteristic of every twist as an exact
-    cross-check.
+    each the unknown (0, None) or ints 0 <= lo <= hi; column(t) returns them,
+    and (0, None) outside that run.  CohomTable(X, chern, entries) reads a map
+    (i, twist) -> (lo, hi), a missing key as unknown, and refuses anything
+    else as an entry.  The Chern data gives the chaser the Euler
+    characteristic of every twist as an exact cross-check.
     """
 
     X: ThreefoldData
@@ -121,7 +108,7 @@ class CohomTable(Record):
         if entries:
             twists = [t for _, t in entries]
             lo = min(twists)
-            pairs = {key: _int_pair(key, e) for key, e in entries.items()}
+            pairs = {key: _pair(key, x) for key, x in entries.items()}
             columns = [
                 tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
                 for t in range(lo, max(twists) + 1)
@@ -138,14 +125,6 @@ class CohomTable(Record):
             _set(table, "lo", lo)
             _set(table, "columns", columns)
         return table
-
-    @property
-    def entries(self) -> dict[tuple[int, int], DimEntry]:
-        cols = zip(self.twists(), self.columns)
-        return {(i, t): DimEntry(*x) for t, col in cols for i, x in enumerate(col)}
-
-    def entry(self, i: int, t: int) -> DimEntry:
-        return DimEntry(*self.column(t)[i])
 
     def twists(self) -> list[int]:
         return list(range(self.lo, self.lo + len(self.columns)))
@@ -320,11 +299,21 @@ def _solve_free_last(xs, chis):
 def _propagate(xs, chis):
     """Interval propagation over the rule table: every narrowing is a meet in
     place, and an empty one raises Inconsistent.  Bounds are kept in flat int
-    lists, None for unbounded."""
+    lists, None for unbounded.
+
+    A column's matrix, the exactness rows in r[1..11] and the three chi rows,
+    is totally unimodular, so each vertex of its polyhedron has ranks at most
+    S, the sum of the absolute right-hand sides (finite bounds and chis), and
+    dimensions at most 2S.  Propagation is sound, so on a realizable column
+    no lower bound passes 2S, and one that does raises Inconsistent.  Lower
+    bounds then rise, and finite upper bounds fall, in whole steps between
+    fixed limits, so the loop always ends.
+    """
     _check_additive(chis)
     c = (*chis, -chis[0], -chis[1], -chis[2], 0)
     lo = [low for low, _ in xs] + [0] * 13
     hi = [high for _, high in xs] + [0] + [None] * 11 + [0]
+    cap = 2 * (sum(lo) + sum(h for h in hi if h is not None) + sum(map(abs, chis)))
     changed = True
     while changed:
         changed = False
@@ -342,6 +331,8 @@ def _propagate(xs, chis):
             if new_hi is not None and new_lo > new_hi:
                 raise Inconsistent(_EMPTY)
             if new_lo != lo[v] or new_hi != hi[v]:
+                if new_lo > cap:
+                    raise Inconsistent(_EMPTY)
                 lo[v], hi[v] = new_lo, new_hi
                 changed = True
     return list(zip(lo[:12], hi[:12]))
@@ -416,4 +407,4 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
     h1 = 1 if p == d - 2 else 0
     chern = dist_chern(DistributionProfile(P3, 2 - d))
     h2 = chi_at_twist(chern, p, P3) - h0 + h1 + h3
-    return {i: DimEntry.known(n) for i, n in enumerate((h0, h1, h2, h3))}
+    return {i: DimEntry(n, n) for i, n in enumerate((h0, h1, h2, h3))}

@@ -85,18 +85,12 @@ class SubfoliationReport(Record):
 class ConnReport(Record):
     """Count of connected components of the pure 1-dimensional singular locus."""
 
-    kind: str  # "Exact" or "Interval"
+    kind: str  # "Exact", with lo == hi the count, or "Interval"
     lo: int
     hi: int
     h1_tangent_vanishes: bool
     h2_tangent_vanishes: bool
     h1_structure_vanishes: bool
-
-    @property
-    def value(self) -> int:
-        if self.kind != "Exact":
-            raise DomainError("interval count has no single value")
-        return self.lo
 
 
 def _require_theorem_hypotheses(p: DistributionProfile) -> None:

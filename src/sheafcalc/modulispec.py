@@ -77,28 +77,20 @@ def moduli_report(d: int) -> ModuliReport:
     chern = dist_chern(_p3_profile(d))
     ext2 = ext2_dim(d)
     ext1 = 6 * d * d + 8 * d + 5 + ext2
+    dim_component, rational, family_dim = ext1, True, ext1
     if d == 2:
         # smooth points of a 45-dimensional component, but the sheaves fill
         # only a 44-dimensional family; rationality is not asserted
-        return ModuliReport(
-            d=d,
-            chern=chern,
-            dim_component=45,
-            ext1=ext1,
-            ext2=ext2,
-            smooth_point=True,
-            rational=None,
-            family_dim=44,
-        )
+        dim_component, rational, family_dim = 45, None, 44
     return ModuliReport(
         d=d,
         chern=chern,
-        dim_component=ext1,
+        dim_component=dim_component,
         ext1=ext1,
         ext2=ext2,
         smooth_point=True,
-        rational=True,
-        family_dim=ext1,
+        rational=rational,
+        family_dim=family_dim,
     )
 
 

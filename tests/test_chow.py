@@ -14,7 +14,6 @@ from sheafcalc.chow import (
     ThreefoldData,
     chi_at_twist,
     dual_chern,
-    hrr_chi,
     line_chern,
     load_threefold,
     reflexive_dual_rank2,
@@ -23,6 +22,7 @@ from sheafcalc.chow import (
     threefold_from_dict,
     threefold_to_dict,
     twist_chern,
+    _chern,
 )
 from sheafcalc.errors import (
     ArityError,
@@ -107,21 +107,21 @@ def test_hrr_line_bundles_match_binomials():
     # chi(O(t)) on P^3 is the cubic (t+1)(t+2)(t+3)/6 for every t
     for t in range(-20, 21):
         expected = (t + 1) * (t + 2) * (t + 3) // 6
-        assert hrr_chi(line_chern(t), P3) == expected
+        assert chi_at_twist(line_chern(t), 0, P3) == expected
 
 
 def test_hrr_presets_trivial_bundle():
-    assert hrr_chi(line_chern(0), P3) == 1
-    assert hrr_chi(line_chern(0), QUINTIC) == 0
-    assert hrr_chi(line_chern(0), QUADRIC) == 1
+    assert chi_at_twist(line_chern(0), 0, P3) == 1
+    assert chi_at_twist(line_chern(0), 0, QUINTIC) == 0
+    assert chi_at_twist(line_chern(0), 0, QUADRIC) == 1
 
 
 def test_hrr_tangent_bundle():
-    assert hrr_chi(TX, P3) == 15
+    assert chi_at_twist(TX, 0, P3) == 15
 
 
 def test_hrr_quadric_hyperplane():
-    assert hrr_chi(line_chern(1), QUADRIC) == 5
+    assert chi_at_twist(line_chern(1), 0, QUADRIC) == 5
 
 
 def test_twist_examples():
@@ -211,13 +211,13 @@ def test_ses_third_arity():
 def test_hrr_additive_over_sequences(a_parts, c_parts, X):
     a, c = _sheaf_like(a_parts, X), _sheaf_like(c_parts, X)
     b = ses_third(a, None, c, X)
-    assert hrr_chi(b, X) == hrr_chi(a, X) + hrr_chi(c, X)
+    assert chi_at_twist(b, 0, X) == chi_at_twist(a, 0, X) + chi_at_twist(c, 0, X)
 
 
 @given(line_sums, st.integers(-15, 15), threefolds)
 def test_chi_at_twist_matches_twist_chern(parts, t, X):
     c = _sheaf_like(parts, X)
-    assert chi_at_twist(c, t, X) == hrr_chi(twist_chern(c, t, X), X)
+    assert chi_at_twist(c, t, X) == chi_at_twist(twist_chern(c, t, X), 0, X)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,26 @@ def test_non_integral_chi_message():
     with pytest.raises(NonIntegralChi) as info:
         chi_at_twist(ChernData(0, 0, 0, 1), 0, P3)
     assert str(info.value) == "chi = 1/2 is not an integer on 'p3'"
+
+
+# numerators of up to 4,001 digits, below the digit limit of int to str
+wide_ints = st.one_of(st.integers(-5000, 5000), st.integers(-(10**4000), 10**4000))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_non_integral_messages_match_the_rational_route(data):
+    # the engine writes each fraction from integers; the reference divides
+    # exact fractions.  No public function reaches a non-integral c2.H or
+    # deg c3 from integer Chern data, so the character goes to _chern itself
+    X = data.draw(st.one_of(threefolds, random_threefolds))
+    r, c1 = data.draw(st.integers(0, 8)), data.draw(st.integers(-(10**4), 10**4))
+    q2, N3 = data.draw(wide_ints), data.draw(wide_ints)
+    ch = ChowClass(Fraction(r), Fraction(c1), Fraction(q2, 2 * X.h3), Fraction(N3, 6 * X.h3))
+    assert _outcome(_chern, (r, c1, q2, N3), X.h3) == _outcome(ch_to_chern, ch, X)
+    c = ChernData(r, c1, data.draw(wide_ints), data.draw(wide_ints))
+    t = data.draw(st.integers(-200, 200))
+    assert _outcome(chi_at_twist, c, t, X) == _outcome(_chi_by_characters, c, t, X)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The column layout of CohomTable: its dict view, its equality, and the
-index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
+"""The column layout of CohomTable: its dict constructor, its equality, and
+the index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
 
 import json
 from pathlib import Path
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sheafcalc.chow import P3, line_chern
 from sheafcalc.cohomology import CohomTable, DimEntry, bott_h, les_chase, line_table
 from sheafcalc.errors import DomainError, EngineError
-from sheafcalc.record import _set
 from sheafcalc.sheafdsl import (
     AtomNamed,
     AtomO,
@@ -34,8 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_documents.json"
 
 
 def _assert_stored_pairs_are_valid(table):
-    # the rule DimEntry checks, which stored pairs keep by construction: an
-    # entry is the unknown (0, None) or ints with 0 <= lo <= hi
+    # the rule the dict constructor checks, which stored pairs keep by
+    # construction: an entry is the unknown (0, None) or ints 0 <= lo <= hi
     for column in table.columns:
         assert len(column) == 4
         for lo, hi in column:
@@ -48,9 +47,10 @@ def _declared(name, src, lo, hi, keep):
     # entries of its table at the twists keep chooses
     table = cohom_of(parse(src), (lo, hi))
     hints = {
-        (i, t): e.value
-        for (i, t), e in table.entries.items()
-        if e.is_known and keep(i, t)
+        (i, t): n
+        for t in table.twists()
+        for i, (n, m) in enumerate(table.column(t))
+        if n == m and keep(i, t)
     }
     return NamedDecl(name, table.chern, hints)
 
@@ -130,63 +130,64 @@ def test_golden_tables_store_only_valid_pairs(src, twists):
         _assert_stored_pairs_are_valid(cohom_of(e, (lo, hi)))
 
 
-dim_entries = st.one_of(
-    st.integers(0, 9).map(DimEntry.known),
+pairs = st.one_of(
+    st.integers(0, 9).map(lambda n: (n, n)),
     st.tuples(st.integers(0, 9), st.integers(1, 5)).map(
-        lambda p: DimEntry(p[0], p[0] + p[1])
+        lambda p: (p[0], p[0] + p[1])
     ),
-    st.just(DimEntry.unknown()),
+    st.just((0, None)),
 )
 
 
 @given(st.integers(-5, 5), st.integers(0, 4), st.data())
 def test_a_contiguous_dict_round_trips(lo, width, data):
     twists = list(range(lo, lo + width + 1))
-    entries = {(i, t): data.draw(dim_entries) for t in twists for i in range(4)}
+    entries = {(i, t): data.draw(pairs) for t in twists for i in range(4)}
     table = CohomTable(P3, line_chern(0), entries)
-    assert table.entries == entries
     assert table.twists() == twists
-    assert all(table.entry(i, t) == e for (i, t), e in entries.items())
-    assert CohomTable(P3, line_chern(0), table.entries) == table
+    read = {(i, t): x for t in twists for i, x in enumerate(table.column(t))}
+    assert read == entries
+    assert CohomTable(P3, line_chern(0), read) == table
 
 
 def test_a_gap_in_a_sparse_dict_reads_as_unknown():
-    unknown = DimEntry.unknown()
-    entries = {(0, -1): DimEntry.known(2), (3, 2): DimEntry(1, 4)}
+    entries = {(0, -1): (2, 2), (3, 2): (1, 4)}
     table = CohomTable(P3, line_chern(0), entries)
     assert table.twists() == [-1, 0, 1, 2]
     free = (0, None)
     assert table.column(-1) == ((2, 2), free, free, free)
     assert table.column(0) == table.column(1) == (free,) * 4
     assert table.column(2) == (free, free, free, (1, 4))
-    assert table.entry(0, -2) == table.entry(3, 3) == unknown
-    assert len(table.entries) == 16 and table.entries[(1, 0)] == unknown
+    assert table.column(-2) == table.column(3) == (free,) * 4
+    assert len(table.columns) == 4
 
 
-def _entry_past_its_checks(lo, hi):
-    # DimEntry compares its bounds with 0, which a str fails with TypeError;
-    # built past that, a str reaches the table's own check
-    entry = object.__new__(DimEntry)
-    _set(entry, "lo", lo)
-    _set(entry, "hi", hi)
-    return entry
+@pytest.mark.parametrize("pair", [(0, None), (0, 0), (7, 7), (10**30, 10**30)])
+def test_an_unknown_or_exact_pair_round_trips_through_column(pair):
+    table = CohomTable(P3, line_chern(0), {(1, 3): pair})
+    assert table.column(3) == ((0, None), pair, (0, None), (0, None))
 
 
-@pytest.mark.parametrize("bound", [2.5, True, "3"])
-def test_the_dict_refuses_a_bound_that_is_no_int(bound):
-    if not isinstance(bound, str):
-        with pytest.raises(DomainError, match="not an int"):
-            CohomTable(P3, line_chern(0), {(0, 0): DimEntry.known(bound)})
-    for lo, hi in [(bound, bound), (0, bound), (bound, None)]:
-        entries = {(1, 0): DimEntry.known(1), (0, 0): _entry_past_its_checks(lo, hi)}
-        with pytest.raises(DomainError, match="not an int"):
+NOT_PAIRS = [
+    DimEntry(1, 1), (-1, 2), (3, 1), (3, None), (1, 2, 3), (1.0, 1.0), (None, None),
+    [1, 1],
+] + [x for bound in (2.5, True, "3") for x in (bound, (bound, bound), (0, bound), (bound, None))]
+
+
+@pytest.mark.parametrize("entry", NOT_PAIRS, ids=repr)
+def test_the_dict_refuses_anything_but_a_pair(entry):
+    for entries in ({(0, 0): entry}, {(1, 0): (1, 1), (0, 0): entry}):
+        with pytest.raises(DomainError, match="is not a pair"):
             CohomTable(P3, line_chern(0), entries)
 
 
 def test_equal_tables_compare_equal():
     chern = line_chern(1)
     entries = {
-        (i, t): DimEntry.known(bott_h(0, i, 1 + t)) for t in range(-2, 3) for i in range(4)
+        (i, t): (n, n)
+        for t in range(-2, 3)
+        for i in range(4)
+        for n in [bott_h(0, i, 1 + t)]
     }
     table = CohomTable(P3, chern, entries)
     assert table == CohomTable(P3, chern, dict(reversed(list(entries.items()))))

@@ -212,8 +212,9 @@ def test_subfoliation_negative_class_diagnostic():
 def test_conn_exact_iff_h2_equals_c3():
     p = DistributionProfile(P3, 1, generic=False)  # degree 1
     report = conn_components(p, 5, 5)
-    assert report.kind == "Exact" and report.value == 1
-    assert conn_components(p, 7, 5).value == 3
+    assert report.kind == "Exact" and (report.lo, report.hi) == (1, 1)
+    report = conn_components(p, 7, 5)
+    assert report.kind == "Exact" and (report.lo, report.hi) == (3, 3)
 
 
 def test_conn_degree_two_interval():
@@ -244,6 +245,6 @@ def test_conn_off_p3_needs_caller_flags():
     with pytest.raises(MissingInvariant):
         conn_components(p, 10, 10)
     report = conn_components(p, 10, 10, tx_h1_vanishes=True, tx_h2_vanishes=True)
-    assert report.kind == "Exact" and report.value == 1
+    assert report.kind == "Exact" and (report.lo, report.hi) == (1, 1)
     with pytest.raises(HypothesisError):
         conn_components(p, 10, 10, tx_h1_vanishes=True, tx_h2_vanishes=False)

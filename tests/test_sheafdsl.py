@@ -219,7 +219,8 @@ def test_deep_coker_chain_matches_the_sequence_chased_step_by_step():
         expected = les_chase((expected, tx, quotient))[2]
     table = cohom_of(parse(_chain("O(0)", "coker({} -> TX)", 74)), (lo, hi))
     assert table.chern == expected.chern
-    assert table.entries == expected.entries
+    assert table.twists() == expected.twists()
+    assert table.columns == expected.columns
 
 
 @pytest.mark.parametrize(
@@ -264,7 +265,7 @@ def test_walk_order_decides_which_error_wins(src, expected):
     except (Inconsistent, RankError, UnknownIdentifier) as exc:
         outcome = f"{exc.name}: {exc}"
     else:
-        outcome = " ".join(str(table.entry(i, 0)) for i in range(4))
+        outcome = " ".join(str(DimEntry(*x)) for x in table.column(0))
     assert outcome == expected
 
 
@@ -330,8 +331,10 @@ def test_twist_of_wide_sum_is_the_sum_of_twists():
     ]:
         assert chern_of(parse(src), P3) == chern_of(parse(same), P3)
         table = cohom_of(parse(src), (-5, 5))
-        assert table.entries == cohom_of(parse(same), (-5, 5)).entries
-        assert all(e.is_known for e in table.entries.values())
+        other = cohom_of(parse(same), (-5, 5))
+        assert table.twists() == other.twists()
+        assert table.columns == other.columns
+        assert all(lo == hi for column in table.columns for lo, hi in column)
     # declared sheaves of any rank evaluate
     env = {"E": NamedDecl("E", ChernData(5, 5, 10, 10))}
     assert chern_of(parse("twist(E, -1)"), P3, env) == ChernData(5, 0, 0, 0)
@@ -368,20 +371,20 @@ def test_cohom_of_matches_generic_grid():
     for p in range(-1, 4):
         expected = generic_dist_cohom(1, p)
         for i in range(4):
-            assert table.entry(i, p) == expected[i]
+            assert table.column(p)[i] == (expected[i].lo, expected[i].hi)
 
 
 def test_cohom_of_canonical_bundle():
     table = cohom_of(parse("O(-4)"), (0, 0))
-    assert table.entry(3, 0) == DimEntry.known(1)
-    assert table.entry(0, 0) == DimEntry.known(0)
+    assert table.column(0)[3] == (1, 1)
+    assert table.column(0)[0] == (0, 0)
 
 
 def test_cohom_of_sums_add():
     table = cohom_of(parse("O(1) + O(-4)"), (0, 1))
-    assert table.entry(0, 0) == DimEntry.known(4)
-    assert table.entry(3, 0) == DimEntry.known(1)
-    assert table.entry(3, 1) == DimEntry.known(0)
+    assert table.column(0)[0] == (4, 4)
+    assert table.column(0)[3] == (1, 1)
+    assert table.column(1)[3] == (0, 0)
 
 
 def test_cohom_of_dual_tangent_is_cotangent():
@@ -403,9 +406,9 @@ def test_cohom_of_chi_consistency():
     for src in ["TX(-2)", "coker(O(-4) -> Omega1(0))", "ker(TX -> O(4))"]:
         table = cohom_of(parse(src), (-3, 3))
         for t in range(-3, 4):
-            col = [table.entry(i, t) for i in range(4)]
-            if all(e.is_known for e in col):
-                alt = sum((-1) ** i * col[i].value for i in range(4))
+            col = table.column(t)
+            if all(lo == hi for lo, hi in col):
+                alt = sum((-1) ** i * col[i][0] for i in range(4))
                 assert alt == table.chi(t)
 
 
@@ -420,10 +423,10 @@ def test_locally_free_shadow_of_ideal_quotient():
     for t in (-4, 0, 2):
         assert chi_at_twist(shadow.chern, t, P3) == chi_at_twist(true_chern, t, P3) - 20
     generic = generic_dist_cohom(2, 0)
-    assert generic[2] == DimEntry.known(1)
-    assert shadow.entry(2, 0) == DimEntry.known(0)
-    assert shadow.entry(0, 0) == DimEntry(0, 15)
-    assert shadow.entry(1, 0) == DimEntry(20, 35)
+    assert generic[2] == DimEntry(1, 1)
+    assert shadow.column(0)[2] == (0, 0)
+    assert shadow.column(0)[0] == (0, 15)
+    assert shadow.column(0)[1] == (20, 35)
 
 
 def test_cohom_of_off_p3_is_gated():
@@ -438,8 +441,8 @@ def test_named_hints_enter_the_chase():
                                                      [(0, 0), (1, 1), (2, 1), (3, 0)]})
     }
     table = cohom_of(parse("E"), (0, 0), P3, env)
-    assert table.entry(1, 0) == DimEntry.known(1)
-    assert table.entry(2, 0) == DimEntry.known(1)
+    assert table.column(0)[1] == (1, 1)
+    assert table.column(0)[2] == (1, 1)
 
 
 @pytest.mark.parametrize("hint", [-1, 2.5, True, "3"])
@@ -452,8 +455,8 @@ def test_a_hint_that_is_no_dimension_is_refused(hint):
 def test_a_none_hint_is_unknown():
     env = {"E": NamedDecl("E", ChernData(2, 0, 6, 20), {(0, 0): None, (1, 0): 0})}
     table = cohom_of(parse("E"), (0, 0), P3, env)
-    assert table.entry(0, 0) == DimEntry.unknown()
-    assert table.entry(1, 0) == DimEntry.known(0)
+    assert table.column(0)[0] == (0, None)
+    assert table.column(0)[1] == (0, 0)
 
 
 def test_parse_batch_skips_comments():
