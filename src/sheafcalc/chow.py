@@ -189,6 +189,32 @@ def chi_at_twist(c: ChernData, t: int, X: ThreefoldData) -> int:
     return chi
 
 
+def chi_series(c: ChernData, lo: int, X: ThreefoldData):
+    """chi_at_twist(c, t, X) for t = lo, lo + 1, ..., without end.
+
+    num = 24.chi(E(t)) is a cubic in t with int coefficients.  The first four
+    values come from chi_at_twist, each when it is yielded, so each may raise
+    NonIntegralChi there; they fix the backward differences, and each later
+    value is three int additions away.  Later values cannot raise: every value
+    of num is an integer combination of four consecutive ones, so 24 divides
+    it once it divides those four.
+    """
+    x0 = chi_at_twist(c, lo, X)
+    yield x0
+    x1 = chi_at_twist(c, lo + 1, X)
+    yield x1
+    x2 = chi_at_twist(c, lo + 2, X)
+    yield x2
+    x = chi_at_twist(c, lo + 3, X)
+    yield x
+    d1, d2, d3 = x - x2, x - 2 * x2 + x1, x - 3 * x2 + 3 * x1 - x0
+    while True:
+        d2 += d3
+        d1 += d2
+        x += d1
+        yield x
+
+
 def twist_chern(c: ChernData, t: int, X: ThreefoldData) -> ChernData:
     """Chern data of the sheaf twisted by O(t), at every rank."""
     return _chern(_ch_twist(_ch(c, X.h3), t, X.h3), X.h3)

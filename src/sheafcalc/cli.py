@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from .chow import PRESETS, ThreefoldData, load_threefold, threefold_to_dict
+from .chow import PRESETS, ThreefoldData, chi_series, load_threefold, threefold_to_dict
 from .errors import DomainError, EngineError, NotComputable
 from .record import Record
 
@@ -258,6 +258,7 @@ def _cmd_moduli(args, parser):
 def _cohom_payload(expr, X, table, lo, hi) -> dict:
     from .sheafdsl import pretty
 
+    chis = chi_series(table.chern, lo, table.X)
     rows = []
     for t in range(lo, hi + 1):
         h0, h1, h2, h3 = table.column(t)
@@ -267,7 +268,7 @@ def _cohom_payload(expr, X, table, lo, hi) -> dict:
             "h1": _pair_json(h1),
             "h2": _pair_json(h2),
             "h3": _pair_json(h3),
-            "chi": table.chi(t),
+            "chi": next(chis),
         })
     chern = table.chern
     return {
@@ -284,8 +285,9 @@ def _cohom_payload(expr, X, table, lo, hi) -> dict:
 def _cohom_rows(table, lo, hi) -> list:
     from .cohomology import DimEntry
 
+    chis = chi_series(table.chern, lo, table.X)
     return [
-        [str(t)] + [str(DimEntry(*x)) for x in table.column(t)] + [str(table.chi(t))]
+        [str(t)] + [str(DimEntry(*x)) for x in table.column(t)] + [str(next(chis))]
         for t in range(lo, hi + 1)
     ]
 
@@ -515,8 +517,14 @@ def _join_twist_values(argv: list) -> list:
     return out
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_twist_values(list(argv)))

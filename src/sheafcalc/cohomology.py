@@ -2,8 +2,9 @@
 
 Atoms are handled by the closed Bott formula; declared short exact sequences
 are handled by a dimension chaser over the induced long exact sequence, in
-closed form when two terms are exact and the third unknown, by interval
-propagation otherwise.  The chaser never guesses the rank of a connecting map:
+closed form when the first or last term is unknown and the others exact, or
+the first or last exact and the others unknown, by interval propagation
+otherwise.  The chaser never guesses the rank of a connecting map:
 when a rank is genuinely undetermined the answer stays an interval.  Tables
 store each entry as the (lo, hi) pair the chaser reads and writes.
 """
@@ -15,6 +16,7 @@ from .chow import (
     ChernData,
     ThreefoldData,
     chi_at_twist,
+    chi_series,
     comb0,
     dual_chern,
     line_chern,
@@ -75,6 +77,17 @@ _FREE = (0, None)  # the unknown entry
 _FREE_COLUMN = (_FREE,) * (DIM + 1)
 
 
+def _key(key) -> tuple[int, int]:
+    # a table key (i, twist): ints with 0 <= i <= 3; a bool is no int
+    if isinstance(key, tuple) and len(key) == 2:
+        i, t = key
+        if type(i) is int and 0 <= i <= DIM and type(t) is int:
+            return key
+    raise DomainError(
+        f"key {key!r} is not a pair (i, twist) of ints with 0 <= i <= {DIM}"
+    )
+
+
 def _pair(key, x) -> tuple[int, int | None]:
     # a table entry: ints 0 <= lo <= hi, or the unknown (0, None); a bool is
     # no int
@@ -93,9 +106,9 @@ class CohomTable(Record):
     columns[k] is the column (h^0, .., h^3) at twist lo + k of (lo, hi) pairs,
     each the unknown (0, None) or ints 0 <= lo <= hi; column(t) returns them,
     and (0, None) outside that run.  CohomTable(X, chern, entries) reads a map
-    (i, twist) -> (lo, hi), a missing key as unknown, and refuses anything
-    else as an entry.  The Chern data gives the chaser the Euler
-    characteristic of every twist as an exact cross-check.
+    (i, twist) -> (lo, hi), ints with 0 <= i <= 3, a missing key as unknown,
+    and refuses anything else as a key or an entry.  The Chern data gives the
+    chaser the Euler characteristic of every twist as an exact cross-check.
     """
 
     X: ThreefoldData
@@ -106,9 +119,9 @@ class CohomTable(Record):
     def __init__(self, X: ThreefoldData, chern: ChernData, entries=None):
         lo, columns = 0, []
         if entries:
-            twists = [t for _, t in entries]
+            pairs = {_key(key): _pair(key, x) for key, x in entries.items()}
+            twists = [t for _, t in pairs]
             lo = min(twists)
-            pairs = {key: _pair(key, x) for key, x in entries.items()}
             columns = [
                 tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
                 for t in range(lo, max(twists) + 1)
@@ -125,12 +138,6 @@ class CohomTable(Record):
             _set(table, "lo", lo)
             _set(table, "columns", columns)
         return table
-
-    def twists(self) -> list[int]:
-        return list(range(self.lo, self.lo + len(self.columns)))
-
-    def chi(self, t: int) -> int:
-        return chi_at_twist(self.chern, t, self.X)
 
     def column(self, t: int) -> tuple[tuple[int, int | None], ...]:
         k = t - self.lo
@@ -225,6 +232,13 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i and
 # B^i leaves each s_i free in [max(0, A^i - B^i), A^i] and gives C^i =
 # B^i - A^i + s_i + s_(i+1).  A free A is the same on the chain read backwards.
+#
+# Closed form for A exact and B, C free: the column is realizable iff A's
+# alternating sum is chi_A (take the connecting maps zero and B = A + C, C
+# any column with Euler characteristic chi_C), and the one bound exactness
+# adds is B^0 >= A^0, as A^0 -> B^0 is injective.  Read backwards, C exact
+# and A, B free gives B^3 >= C^3.  Other columns, such as an exact end with
+# a boxed middle, are left to propagation.
 
 # The rules (v, a, b, p, q): v = c[q] + a + b - p over variables x[k] = k and
 # r[k] = 12 + k, with c the three chis, their negatives and 0.  Per k:
@@ -263,22 +277,44 @@ def _chase_single_twist(xs, chis):
     xs: list of 12 (lo, hi) intervals in chain order, hi None for unbounded;
     chis: the three exact Euler characteristics.  Returns the narrowed
     intervals; data no exact sequence realizes raises Inconsistent.  A column
-    with two exact terms and a free first or last term is solved in closed
-    form, any other column by propagation.
+    with a free first or last term and exact others, or an exact first or last
+    term and free others, is solved in closed form, any other by propagation.
     """
     _check_additive(chis)
-    if xs[2] == xs[5] == xs[8] == xs[11] == _FREE and _exact(xs, 0, 1):
-        return _solve_free_last(xs, chis)
-    if xs[0] == xs[3] == xs[6] == xs[9] == _FREE and _exact(xs, 1, 2):
+    if _free(xs, 2):
+        if _exact(xs, 0, 1):
+            return _solve_free_last(xs, chis)
+        if _free(xs, 1) and _exact(xs, 0):
+            return _solve_exact_first(xs, chis)
+    if _free(xs, 0):
         # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
         # Euler characteristics are -chi_C, -chi_B, -chi_A
-        return _solve_free_last(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
+        reversed_chis = (-chis[2], -chis[1], -chis[0])
+        if _exact(xs, 1, 2):
+            return _solve_free_last(xs[::-1], reversed_chis)[::-1]
+        if _free(xs, 1) and _exact(xs, 2):
+            return _solve_exact_first(xs[::-1], reversed_chis)[::-1]
     return _propagate(xs, chis)
 
 
-def _exact(xs, j, k):
-    """Whether the columns of terms j and k are exact values."""
-    return all(lo == hi for lo, hi in xs[j::3] + xs[k::3])
+def _free(xs, j):
+    """Whether every entry of term j is the unknown (0, None)."""
+    return xs[j] == xs[j + 3] == xs[j + 6] == xs[j + 9] == _FREE
+
+
+def _exact(xs, *terms):
+    """Whether every entry of the given terms is an exact value."""
+    return all(lo == hi for j in terms for lo, hi in xs[j::3])
+
+
+def _solve_exact_first(xs, chis):
+    """The closed form above: A exact, B and C free, chis additive."""
+    a0, a1, a2, a3 = (lo for lo, _ in xs[0::3])
+    if a0 - a1 + a2 - a3 != chis[0]:
+        raise Inconsistent(_EMPTY)
+    out = list(xs)
+    out[1] = (a0, None)
+    return out
 
 
 def _solve_free_last(xs, chis):
@@ -352,13 +388,18 @@ def les_chase(
     if not ta.X == tb.X == tc.X:
         raise DomainError("the three tables must live on the same threefold")
     # the twists of all three tables, which may have none
-    twists = [t for table in tables for t in table.twists()]
-    lo = min(twists, default=0)
+    spans = [
+        (table.lo, table.lo + len(table.columns)) for table in tables if table.columns
+    ]
+    lo = min((start for start, _ in spans), default=0)
+    stop = max((end for _, end in spans), default=0)
+    # zip reads the twist first, so chi at t is evaluated, and may raise, after
+    # the chase at t - 1, and never past the last twist
+    chi_rows = zip(*(chi_series(table.chern, lo, table.X) for table in tables))
     chains = []
-    for t in range(lo, max(twists, default=-1) + 1):
+    for t, chis in zip(range(lo, stop), chi_rows):
         # chain order A^0, B^0, C^0, A^1, ...
         xs = [x for x3 in zip(ta.column(t), tb.column(t), tc.column(t)) for x in x3]
-        chis = tuple(table.chi(t) for table in tables)
         chains.append([
             _FREE if x[1] is None else x for x in _chase_single_twist(xs, chis)
         ])

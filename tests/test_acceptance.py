@@ -197,7 +197,7 @@ def test_criterion_9_randomized_property_suites():
             truth, masked = _split_ses_tables(a_tw, c_tw, rng)
             chased = les_chase(masked)
             for true_table, out in zip(truth, chased):
-                for t in true_table.twists():
+                for t in range(true_table.lo, true_table.lo + len(true_table.columns)):
                     for (n, _), (lo, hi) in zip(true_table.column(t), out.column(t)):
                         assert lo <= n and (hi is None or n <= hi)
 
@@ -225,7 +225,7 @@ def _split_ses_tables(a_twists, c_twists, rng):
     masked = []
     for table in truth:
         entries = {}
-        for t in table.twists():
+        for t in range(table.lo, table.lo + len(table.columns)):
             for i, (lo, hi) in enumerate(table.column(t)):
                 mode = rng.random()
                 if mode < 0.4:

@@ -13,6 +13,7 @@ from sheafcalc.chow import (
     ChernData,
     ThreefoldData,
     chi_at_twist,
+    chi_series,
     dual_chern,
     line_chern,
     load_threefold,
@@ -306,6 +307,33 @@ def test_non_integral_chi_message():
     with pytest.raises(NonIntegralChi) as info:
         chi_at_twist(ChernData(0, 0, 0, 1), 0, P3)
     assert str(info.value) == "chi = 1/2 is not an integer on 'p3'"
+
+
+def _first_outcomes(step, n):
+    # n calls of step, or up to and including the first that raises
+    out = []
+    for _ in range(n):
+        out.append(_outcome(step))
+        if isinstance(out[-1], tuple):
+            break
+    return out
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_chi_series_steps_the_closed_form(data):
+    # random Chern data often has a non-integral chi; the series must raise
+    # the same message at the same twist, and not before.  On the presets
+    # chi is integral at every twist or at none, so the random profiles are
+    # where it first fails after lo
+    X = data.draw(st.one_of(threefolds, random_threefolds))
+    c = data.draw(st.one_of(chern_data, line_sums.map(lambda parts: sum_chern(parts, X))))
+    lo = data.draw(st.one_of(st.integers(-60, 60), st.integers(-(10**12), 10**12)))
+    n = data.draw(st.integers(0, 12))
+    series, twists = chi_series(c, lo, X), iter(range(lo, lo + n))
+    assert _first_outcomes(lambda: next(series), n) == _first_outcomes(
+        lambda: chi_at_twist(c, next(twists), X), n
+    )
 
 
 # numerators of up to 4,001 digits, below the digit limit of int to str

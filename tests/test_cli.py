@@ -425,6 +425,46 @@ def test_readme_command_line_examples_run(argv, capsys, tmp_path, monkeypatch):
     assert code == 0 and err == "" and out
 
 
+def _without_format(argv):
+    i = argv.index("--format") if "--format" in argv else len(argv)
+    return argv[:i] + argv[i + 2:]
+
+
+PARSER_REUSE_ARGVS = [
+    [], ["--help"], ["bogus"], ["cohomology", "--help"],
+    ["spectrum", "--threefold", "quintic"],  # missing --r
+    ["moduli", "--degree", "x"],
+    ["cohomology", "--sheaf", "O(1)", "--twists", "3..1"],  # refused by the handler
+    ["invariants", "--threefold", "quintic", "--degree", "1", "--generic"],
+    ["spectrum", "--threefold", "quintic", "--r", "1"],  # an engine error
+] + [
+    _without_format(argv) + ["--format", fmt]
+    for argv in README_COMMANDS
+    for fmt in ("table", "csv", "json")
+]
+
+
+def test_main_builds_one_parser_and_reuses_it(tmp_path, monkeypatch):
+    # every answer of a reused parser, usage errors and help included, is
+    # that of a parser built for the one call
+    from sheafcalc import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exprs.txt").write_text("O(1)\ncoker(O(-2) -> Omega1(1))\n")
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    passes = [[_run_main(list(argv)) for argv in PARSER_REUSE_ARGVS] for _ in range(2)]
+    assert len(built) == 1
+    assert passes[0] == passes[1]
+    fresh = []
+    for argv in PARSER_REUSE_ARGVS:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_run_main(list(argv)))
+    assert fresh == passes[0]
+    assert {code for code, _, _ in fresh} == {0, 2, 3}
+
+
 def _engine_error_names(cls=EngineError):
     names = {cls.name}
     for sub in cls.__subclasses__():

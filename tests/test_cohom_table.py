@@ -2,6 +2,7 @@
 the index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ def _declared(name, src, lo, hi, keep):
     table = cohom_of(parse(src), (lo, hi))
     hints = {
         (i, t): n
-        for t in table.twists()
+        for t in range(table.lo, table.lo + len(table.columns))
         for i, (n, m) in enumerate(table.column(t))
         if n == m and keep(i, t)
     }
@@ -144,7 +145,7 @@ def test_a_contiguous_dict_round_trips(lo, width, data):
     twists = list(range(lo, lo + width + 1))
     entries = {(i, t): data.draw(pairs) for t in twists for i in range(4)}
     table = CohomTable(P3, line_chern(0), entries)
-    assert table.twists() == twists
+    assert (table.lo, len(table.columns)) == (lo, len(twists))
     read = {(i, t): x for t in twists for i, x in enumerate(table.column(t))}
     assert read == entries
     assert CohomTable(P3, line_chern(0), read) == table
@@ -153,7 +154,7 @@ def test_a_contiguous_dict_round_trips(lo, width, data):
 def test_a_gap_in_a_sparse_dict_reads_as_unknown():
     entries = {(0, -1): (2, 2), (3, 2): (1, 4)}
     table = CohomTable(P3, line_chern(0), entries)
-    assert table.twists() == [-1, 0, 1, 2]
+    assert (table.lo, len(table.columns)) == (-1, 4)
     free = (0, None)
     assert table.column(-1) == ((2, 2), free, free, free)
     assert table.column(0) == table.column(1) == (free,) * 4
@@ -179,6 +180,20 @@ def test_the_dict_refuses_anything_but_a_pair(entry):
     for entries in ({(0, 0): entry}, {(1, 0): (1, 1), (0, 0): entry}):
         with pytest.raises(DomainError, match="is not a pair"):
             CohomTable(P3, line_chern(0), entries)
+
+
+@pytest.mark.parametrize("key", [(7, 0), (4, 0), (-1, 0), (True, 0)], ids=repr)
+def test_the_dict_refuses_a_key_with_no_such_cohomology_degree(key):
+    # h^7 does not exist: the entry was dropped and the table read unknown
+    with pytest.raises(DomainError, match=re.escape(f"key {key!r} is not a pair")):
+        CohomTable(P3, line_chern(0), {(0, 0): (1, 1), key: (1, 1)})
+
+
+@pytest.mark.parametrize("key", [(0, 0.5), (0, True), (0, "1"), (0,), 5], ids=repr)
+def test_the_dict_refuses_a_key_whose_twist_is_no_int(key):
+    # (0, 0.5) reached range() and raised a bare TypeError
+    with pytest.raises(DomainError, match=re.escape(f"key {key!r} is not a pair")):
+        CohomTable(P3, line_chern(0), {(0, 0): (1, 1), key: (1, 1)})
 
 
 def test_equal_tables_compare_equal():
@@ -207,7 +222,7 @@ def test_a_sequence_of_tables_without_columns_is_unknown_everywhere():
         "dual(coker(O(-2) -> O(0) + O(0) + O(0))))"
     )
     table = cohom_of(parse(src), (-2, 2))
-    assert table.twists() == []
+    assert table.columns == []
     assert all(table.column(t) == ((0, None),) * 4 for t in range(-2, 3))
     blanks = tuple(CohomTable(P3, line_chern(0)) for _ in range(3))
     assert les_chase(blanks) == blanks

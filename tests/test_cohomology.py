@@ -15,6 +15,7 @@ from sheafcalc.chow import (
     P3,
     QUINTIC,
     ChernData,
+    ThreefoldData,
     chi_at_twist,
     comb0,
     line_chern,
@@ -37,7 +38,7 @@ from sheafcalc.cohomology import (
     _propagate,
 )
 from sheafcalc.dist import DistributionProfile, dist_chern
-from sheafcalc.errors import Inconsistent, NotComputable
+from sheafcalc.errors import EngineError, Inconsistent, NonIntegralChi, NotComputable
 
 
 def test_bott_values():
@@ -102,11 +103,12 @@ def test_serre_tangent_values():
 
 def test_tangent_table_matches_chi():
     table = tangent_table(-6, 3)
-    assert table.twists() == list(range(-6, 4))
-    for t in table.twists():
+    assert (table.lo, len(table.columns)) == (-6, 10)
+    for t in range(-6, 4):
         column = table.column(t)
         assert all(lo == hi for lo, hi in column)
-        assert sum((-1) ** i * lo for i, (lo, _) in enumerate(column)) == table.chi(t)
+        alt = sum((-1) ** i * lo for i, (lo, _) in enumerate(column))
+        assert alt == chi_at_twist(table.chern, t, P3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +187,106 @@ def test_chase_inconsistent_data_raises():
         les_chase((a, b, c))
 
 
+def _les_chase_by_chi(tables):
+    # les_chase with each chi read from chi_at_twist, the closed form at one
+    # twist, after the chase at t - 1 and before the chase at t
+    ta, tb, tc = tables
+    twists = [
+        t for table in tables for t in range(table.lo, table.lo + len(table.columns))
+    ]
+    lo = min(twists, default=0)
+    chains = []
+    for t in range(lo, max(twists, default=-1) + 1):
+        chis = tuple(chi_at_twist(table.chern, t, table.X) for table in tables)
+        xs = [x for x3 in zip(ta.column(t), tb.column(t), tc.column(t)) for x in x3]
+        chains.append([
+            (0, None) if x[1] is None else x for x in _chase_single_twist(xs, chis)
+        ])
+    return tuple(
+        CohomTable.of_columns(ta.X, table.chern, lo, [tuple(c[j::3]) for c in chains])
+        for j, table in enumerate(tables)
+    )
+
+
+def _engine_outcome(f, *args):
+    try:
+        return f(*args)
+    except EngineError as exc:
+        return exc.name, str(exc)
+
+
+# a profile on which chi(O(t)) is 0 at t = 0 and 1/6 at t = 1
+ODD = ThreefoldData("odd", 1, 0, 0, 0)
+
+small_chern_data = st.builds(
+    ChernData,
+    rank=st.integers(0, 3),
+    c1=st.integers(-3, 3),
+    n2=st.integers(-6, 6),
+    n3=st.integers(-6, 6),
+)
+column_entries = st.one_of(
+    st.just((0, None)),
+    st.just((0, None)),
+    st.integers(0, 3).map(lambda n: (n, n)),
+    st.tuples(st.integers(0, 3), st.integers(1, 3)).map(lambda p: (p[0], p[0] + p[1])),
+)
+
+
+@st.composite
+def sequence_tables(draw):
+    # three tables over their own runs of zero to three twists, B's Chern
+    # data the sum of A's and C's so that chi is additive wherever defined
+    X = draw(st.sampled_from([P3, QUINTIC, ODD]))
+    line_sums = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+        lambda ts: sum_chern([line_chern(t) for t in ts], X)
+    )
+    a, c = (draw(st.one_of(small_chern_data, line_sums)) for _ in range(2))
+    tables = []
+    for chern in (a, sum_chern([a, c], X), c):
+        width = draw(st.integers(0, 3))
+        columns = [tuple(draw(column_entries) for _ in range(4)) for _ in range(width)]
+        tables.append(CohomTable.of_columns(X, chern, draw(st.integers(-3, 3)), columns))
+    return tuple(tables)
+
+
+@given(sequence_tables())
+@settings(max_examples=300, deadline=None)
+def test_les_chase_matches_chi_read_at_each_twist(tables):
+    assert _engine_outcome(les_chase, tables) == _engine_outcome(_les_chase_by_chi, tables)
+
+
+@pytest.mark.parametrize("h0s,expected", [
+    ((1, 0), Inconsistent), ((1, 1), Inconsistent),
+    ((0, 0), NonIntegralChi), ((0, 1), NonIntegralChi),
+])
+def test_a_twist_has_its_chi_after_the_chase_before_it(h0s, expected):
+    # 0 -> O -> O + O -> O -> 0 on ODD over twists 0 and 1; A's h^0 = 1
+    # contradicts chi = 0 at twist 0, and chi(O(1)) = 1/6
+    o = line_chern(0)
+    assert chi_at_twist(o, 0, ODD) == 0
+    with pytest.raises(NonIntegralChi, match="chi = 1/6 is not an integer on 'odd'"):
+        chi_at_twist(o, 1, ODD)
+    zeros = ((0, 0),) * 4
+    ta = CohomTable.of_columns(ODD, o, 0, [((n, n),) + zeros[1:] for n in h0s])
+    tb = CohomTable.of_columns(ODD, sum_chern([o, o], ODD), 0, [zeros, zeros])
+    tables = (ta, tb, CohomTable(ODD, o))
+    with pytest.raises(expected):
+        les_chase(tables)
+    assert _engine_outcome(les_chase, tables) == _engine_outcome(_les_chase_by_chi, tables)
+
+
+def test_les_chase_reads_no_chi_past_the_last_twist():
+    # chi(O(1)) on ODD is 1/6; a chase that ends at twist 0 never reads it
+    o = line_chern(0)
+    zeros = ((0, 0),) * 4
+    tables = tuple(
+        CohomTable.of_columns(ODD, chern, 0, [zeros])
+        for chern in (o, sum_chern([o, o], ODD), o)
+    )
+    assert les_chase(tables) == tables
+
+
 def _truth_tables(a_twists, c_twists, lo, hi):
     a = [line_chern(t) for t in a_twists]
     c = [line_chern(t) for t in c_twists]
@@ -221,7 +323,7 @@ def test_chase_sound_on_split_line_bundle_ses(a_twists, c_twists, data):
     masked = []
     for table in truth:
         entries = {}
-        for t in table.twists():
+        for t in range(table.lo, table.lo + len(table.columns)):
             for i, (lo, hi) in enumerate(table.column(t)):
                 mode = data.draw(st.sampled_from(["keep", "drop", "widen"]))
                 if mode == "keep":
@@ -233,14 +335,13 @@ def test_chase_sound_on_split_line_bundle_ses(a_twists, c_twists, data):
         masked.append(CohomTable(table.X, table.chern, entries))
     chased = les_chase(tuple(masked))
     for true_table, out in zip(truth, chased):
-        for t in true_table.twists():
+        for t in range(true_table.lo, true_table.lo + len(true_table.columns)):
             for (n, _), pair in zip(true_table.column(t), out.column(t)):
                 assert _contains(pair, n)
     # idempotence: a second pass is a fixed point
     rechased = les_chase(chased)
     for first, second in zip(chased, rechased):
-        assert first.twists() == second.twists()
-        assert first.columns == second.columns
+        assert (first.lo, first.columns) == (second.lo, second.columns)
 
 
 # The tuple-based chaser the flat kernel replaced, kept as its reference.  It
@@ -427,8 +528,35 @@ def one_free_term(draw):
     return xs, tuple(chis)
 
 
-@given(one_free_term())
-@settings(max_examples=500, deadline=None)
+# an exact first or last term, the other two free
+TWO_FREE_MODES = [(("keep",), ("drop",), ("drop",)), (("drop",), ("drop",), ("keep",))]
+
+
+@st.composite
+def two_free_terms(draw):
+    # an exact first or last term from an exact chain, the other two free;
+    # then sometimes one exact entry is off by one, with or without its chi
+    # following it, or its chi and the middle's are off by one together
+    exact = draw(st.sampled_from([0, 2]))
+    xs, chis = draw(exact_chain_inputs(TWO_FREE_MODES[exact // 2]))
+    chis = list(chis)
+    fault = draw(st.sampled_from(["none", "entry", "follow", "chi"]))
+    if fault in ("entry", "follow"):
+        k = draw(st.sampled_from(range(exact, 12, 3)))
+        v = max(0, xs[k][0] + draw(st.sampled_from([-1, 1])))
+        xs[k] = (v, v)
+    delta = 0
+    if fault == "follow":
+        delta = _alternating([lo for lo, _ in xs[exact::3]]) - chis[exact]
+    if fault == "chi":
+        delta = draw(st.sampled_from([-1, 1]))
+    chis[exact] += delta
+    chis[1] += delta
+    return xs, tuple(chis)
+
+
+@given(st.one_of(one_free_term(), two_free_terms()))
+@settings(max_examples=800, deadline=None)
 def test_closed_form_matches_propagation(case):
     xs, chis = case
     expected = _chase_outcome(_propagate, xs, chis)
@@ -483,8 +611,8 @@ def _chain_projection(xs, chis, cap=5):
     return None if projection is None else list(projection)
 
 
-@given(exact_chain_inputs())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(exact_chain_inputs(), *map(exact_chain_inputs, TWO_FREE_MODES)))
+@settings(max_examples=300, deadline=None)
 def test_chase_contains_every_exact_chain(case):
     xs, chis = case
     out = _chase_single_twist(list(xs), chis)
@@ -597,7 +725,7 @@ def _lemma_checks(d, p, entries):
 def _propagated_quotient(d, p):
     tables = dist_sequence_tables(d, p, p)
     xs = [table.column(p)[i] for i in range(4) for table in tables]
-    chis = tuple(table.chi(p) for table in tables)
+    chis = tuple(chi_at_twist(table.chern, p, P3) for table in tables)
     narrowed = _propagate(xs, chis)
     return [narrowed[3 * i + 2] for i in range(4)]
 
