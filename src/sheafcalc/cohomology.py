@@ -1,15 +1,18 @@
 """Exact sheaf-cohomology dimensions on projective 3-space.
 
 Atoms are handled by the closed Bott formula; declared short exact sequences
-are handled by a dimension chaser over the induced long exact sequence, in
-closed form when the first or last term is unknown and the others exact, or
-the first or last exact and the others unknown, by interval propagation
-otherwise.  The chaser never guesses the rank of a connecting map:
-when a rank is genuinely undetermined the answer stays an interval.  Tables
-store each entry as the (lo, hi) pair the chaser reads and writes.
-"""
+are handled by a dimension chaser over the induced long exact sequence.  A
+twist whose first term is exact and whose last term has no information, or
+the other way round, is solved in closed form whatever the middle term: the
+answer is the projection of every exact chain the data allow.  Interval
+propagation serves only the twists with no exact end.  The chaser never
+guesses the rank of a connecting map: when a rank is genuinely undetermined
+the answer stays an interval.  Tables store each entry as the (lo, hi) pair
+the chaser reads and writes."""
 
 from __future__ import annotations
+
+from math import comb
 
 from .chow import (
     P3,
@@ -73,6 +76,7 @@ class DimEntry(Record):
         return f"{self.lo}..{self.hi}"
 
 
+_MAX_SPAN = 10_000  # twists in one dict-built table, the command line's batch cap
 _FREE = (0, None)  # the unknown entry
 _FREE_COLUMN = (_FREE,) * (DIM + 1)
 
@@ -107,8 +111,9 @@ class CohomTable(Record):
     each the unknown (0, None) or ints 0 <= lo <= hi; column(t) returns them,
     and (0, None) outside that run.  CohomTable(X, chern, entries) reads a map
     (i, twist) -> (lo, hi), ints with 0 <= i <= 3, a missing key as unknown,
-    and refuses anything else as a key or an entry.  The Chern data gives the
-    chaser the Euler characteristic of every twist as an exact cross-check.
+    and refuses anything else as a key or an entry, and a run of more than
+    10,000 twists, as each twist in it takes a column.  The Chern data gives
+    the chaser the Euler characteristic of every twist as an exact cross-check.
     """
 
     X: ThreefoldData
@@ -121,10 +126,14 @@ class CohomTable(Record):
         if entries:
             pairs = {_key(key): _pair(key, x) for key, x in entries.items()}
             twists = [t for _, t in pairs]
-            lo = min(twists)
+            lo, hi = min(twists), max(twists)
+            if hi - lo + 1 > _MAX_SPAN:
+                raise DomainError(
+                    f"twists {lo}..{hi} span more than {_MAX_SPAN} columns"
+                )
             columns = [
                 tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
-                for t in range(lo, max(twists) + 1)
+                for t in range(lo, hi + 1)
             ]
         _set(self, "X", X)
         _set(self, "chern", chern)
@@ -195,25 +204,39 @@ def omega_chern(p: int) -> ChernData:
 # Ready-made all-known tables for the atoms of the expression language.
 
 
-def _filled_table(chern, h, lo, hi) -> CohomTable:
-    # the all-known table with entry h(i, t) >= 0 at each i and lo <= t <= hi
-    columns = [
-        tuple((n, n) for n in [h(i, t) for i in range(DIM + 1)])
-        for t in range(lo, hi + 1)
-    ]
-    return CohomTable.of_columns(P3, chern, lo, columns)
+_ZERO_COLUMN = ((0, 0),) * (DIM + 1)
+
+
+def _bott_column(p: int, t: int) -> tuple[tuple[int, int], ...]:
+    # the column (h^0, .., h^3) of the p-th cotangent power at twist t: as in
+    # bott_h at most one entry is nonzero, and only that one is computed
+    if t > p:
+        q, n = 0, comb(t + DIM - p, t) * comb(t - 1, p)
+    elif t < p - DIM:
+        q, n = DIM, comb(p - t, -t) * comb(-t - 1, DIM - p)
+    elif t == 0:
+        q, n = p, 1
+    else:
+        return _ZERO_COLUMN
+    column = [(0, 0)] * (DIM + 1)
+    column[q] = (n, n)
+    return tuple(column)
 
 
 def line_table(s: int, lo: int, hi: int) -> CohomTable:
-    return _filled_table(line_chern(s), lambda i, t: bott_h(0, i, s + t), lo, hi)
+    columns = [_bott_column(0, s + t) for t in range(lo, hi + 1)]
+    return CohomTable.of_columns(P3, line_chern(s), lo, columns)
 
 
 def omega1_table(lo: int, hi: int) -> CohomTable:
-    return _filled_table(omega_chern(1), lambda i, t: bott_h(1, i, t), lo, hi)
+    columns = [_bott_column(1, t) for t in range(lo, hi + 1)]
+    return CohomTable.of_columns(P3, omega_chern(1), lo, columns)
 
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
-    return _filled_table(P3.tangent_chern, serre_tangent_h, lo, hi)
+    # Serre duality, as in serre_tangent_h: h^q(T(t)) = h^(3-q)(Omega1(-t-4))
+    columns = [_bott_column(1, -t - 4)[::-1] for t in range(lo, hi + 1)]
+    return CohomTable.of_columns(P3, P3.tangent_chern, lo, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +251,25 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # a missing term.  The chaser runs interval propagation over these rules,
 # intersecting only, so it is sound, monotone and idempotent by construction.
 #
-# Closed form for A, B exact and C free: with s_i = r[3i], the rank of
-# C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i and
-# B^i leaves each s_i free in [max(0, A^i - B^i), A^i] and gives C^i =
-# B^i - A^i + s_i + s_(i+1).  A free A is the same on the chain read backwards.
-#
-# Closed form for A exact and B, C free: the column is realizable iff A's
-# alternating sum is chi_A (take the connecting maps zero and B = A + C, C
-# any column with Euler characteristic chi_C), and the one bound exactness
-# adds is B^0 >= A^0, as A^0 -> B^0 is injective.  Read backwards, C exact
-# and A, B free gives B^3 >= C^3.  Other columns, such as an exact end with
-# a boxed middle, are left to propagation.
+# Closed form for A exact and C free, B anything: with s_i = r[3i], the rank
+# of C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i
+# and B^i leaves each s_i free in [max(0, A^i - B^i), A^i] and gives C^i =
+# B^i - A^i + s_i + s_(i+1).  C's alternating sum is then chi_B - chi_A
+# whatever the s_i, so the only constraints on B are its box, B^0 >= A^0 and
+# its own chi row, and the column is realizable iff A's alternating sum is
+# chi_A and that set is not empty.  One +-1 equality on a box projects
+# exactly: B^i is its box met with chi_B less the range of the other three
+# terms.  C^i is largest at the largest B^i with s_i = A^i (0 for i = 0) and
+# s_(i+1) = A^(i+1).  Its least value is the least of (B^i - A^i)^+ +
+# (A^(i+1) - B^(i+1))^+ = max(0, B^i - A^i, A^(i+1) - B^(i+1), B^i - B^(i+1)
+# - A^i + A^(i+1)) over B's pairs (B^i, B^(i+1)): their boxes and the band
+# for B^i - B^(i+1) that the other two terms leave.  These are bounds on
+# B^i, B^(i+1) and their difference, so a difference-constraint argument
+# shows the least value is the largest of the four pieces' own minima.  So
+# every answer is the projection of the exact chains.  A free A, C exact, is
+# the same on the chain read backwards.  An exact middle, the common case,
+# keeps a shorter form of the same solution; columns with no exact end are
+# left to propagation.
 
 # The rules (v, a, b, p, q): v = c[q] + a + b - p over variables x[k] = k and
 # r[k] = 12 + k, with c the three chis, their negatives and 0.  Per k:
@@ -277,23 +308,18 @@ def _chase_single_twist(xs, chis):
     xs: list of 12 (lo, hi) intervals in chain order, hi None for unbounded;
     chis: the three exact Euler characteristics.  Returns the narrowed
     intervals; data no exact sequence realizes raises Inconsistent.  A column
-    with a free first or last term and exact others, or an exact first or last
-    term and free others, is solved in closed form, any other by propagation.
+    with an exact first term and a free last term, or the other way round, is
+    solved in closed form, any other by propagation.
     """
     _check_additive(chis)
-    if _free(xs, 2):
-        if _exact(xs, 0, 1):
-            return _solve_free_last(xs, chis)
-        if _free(xs, 1) and _exact(xs, 0):
-            return _solve_exact_first(xs, chis)
-    if _free(xs, 0):
+    if _free(xs, 2) and _exact(xs, 0):
+        solve = _solve_free_last if _exact(xs, 1) else _solve_exact_end
+        return solve(xs, chis)
+    if _free(xs, 0) and _exact(xs, 2):
         # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
         # Euler characteristics are -chi_C, -chi_B, -chi_A
-        reversed_chis = (-chis[2], -chis[1], -chis[0])
-        if _exact(xs, 1, 2):
-            return _solve_free_last(xs[::-1], reversed_chis)[::-1]
-        if _free(xs, 1) and _exact(xs, 2):
-            return _solve_exact_first(xs[::-1], reversed_chis)[::-1]
+        solve = _solve_free_last if _exact(xs, 1) else _solve_exact_end
+        return solve(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
     return _propagate(xs, chis)
 
 
@@ -307,18 +333,70 @@ def _exact(xs, *terms):
     return all(lo == hi for j in terms for lo, hi in xs[j::3])
 
 
-def _solve_exact_first(xs, chis):
-    """The closed form above: A exact, B and C free, chis additive."""
-    a0, a1, a2, a3 = (lo for lo, _ in xs[0::3])
+def _upper(*bounds):
+    """The least of some upper bounds, None (no bound) if all are None."""
+    return min((x for x in bounds if x is not None), default=None)
+
+
+def _solve_exact_end(xs, chis):
+    """The closed form above: A exact, C free, chis additive.  None stands
+    for a missing upper bound throughout."""
+    a = [lo for lo, _ in xs[0::3]]
+    a0, a1, a2, a3 = a
     if a0 - a1 + a2 - a3 != chis[0]:
         raise Inconsistent(_EMPTY)
+    chi = chis[1]
+    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = xs[1::3]
+    l0 = max(l0, a0)
+    # B's projection: by B^0 - B^1 + B^2 - B^3 = chi_B, a term's lower bound
+    # needs the upper bound of the other term of its parity, and its upper
+    # bound those of both terms of the other parity
+    odd = None if h1 is None or h3 is None else chi + h1 + h3
+    even = None if h0 is None or h2 is None else h0 + h2 - chi
+    b_lo = [
+        l0 if h2 is None else max(l0, chi + l1 + l3 - h2),
+        l1 if h3 is None else max(l1, l0 + l2 - h3 - chi),
+        l2 if h0 is None else max(l2, chi + l1 + l3 - h0),
+        l3 if h1 is None else max(l3, l0 + l2 - h1 - chi),
+    ]
+    b_hi = [
+        _upper(h0, None if odd is None else odd - l2),
+        _upper(h1, None if even is None else even - l3),
+        _upper(h2, None if odd is None else odd - l0),
+        _upper(h3, None if even is None else even - l1),
+        None,  # past B^3 the chain has A^4 = s_4 = 0 and no B^4 bound
+    ]
+    if any(hi is not None and lo > hi for lo, hi in zip(b_lo, b_hi)):
+        raise Inconsistent(_EMPTY)
+    # the least B^i - B^(i+1): chi_B less the other two terms, and the boxes
+    bands = [
+        None if h2 is None else chi - h2 + l3,
+        None if h3 is None else l0 - h3 - chi,
+        None if h0 is None else chi - h0 + l1,
+    ]
+    for i, (lo, hi) in enumerate(((l0, h1), (l1, h2), (l2, h3))):
+        if hi is not None:
+            bands[i] = lo - hi if bands[i] is None else max(bands[i], lo - hi)
+    bands.append(None)
+    a.append(0)
     out = list(xs)
-    out[1] = (a0, None)
+    for i in range(4):
+        # C^i = B^i - A^i + s_i + s_(i+1), least and largest as above
+        low = max(0, b_lo[i] - a[i])
+        if b_hi[i + 1] is not None:
+            low = max(low, a[i + 1] - b_hi[i + 1])
+        if bands[i] is not None:
+            low = max(low, bands[i] - a[i] + a[i + 1])
+        top = b_hi[i]
+        if top is not None:
+            top += a[i + 1] - (a0 if i == 0 else 0)
+        out[3 * i + 1] = (b_lo[i], b_hi[i])
+        out[3 * i + 2] = (low, top)
     return out
 
 
 def _solve_free_last(xs, chis):
-    """The closed form above: A, B exact and C free, chis additive."""
+    """The closed form above with B exact: every s_i bound is a number."""
     a0, a1, a2, a3 = (lo for lo, _ in xs[0::3])
     b0, b1, b2, b3 = (lo for lo, _ in xs[1::3])
     if a0 - a1 + a2 - a3 != chis[0] or b0 - b1 + b2 - b3 != chis[1] or a0 > b0:

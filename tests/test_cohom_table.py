@@ -3,6 +3,7 @@ the index arithmetic of twists, rank-2 reflexive duals and Serre duality."""
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,18 @@ def test_the_dict_refuses_a_key_whose_twist_is_no_int(key):
     # (0, 0.5) reached range() and raised a bare TypeError
     with pytest.raises(DomainError, match=re.escape(f"key {key!r} is not a pair")):
         CohomTable(P3, line_chern(0), {(0, 0): (1, 1), key: (1, 1)})
+
+
+def test_the_dict_refuses_a_run_of_more_than_ten_thousand_twists():
+    # two far-apart twists built every column in between
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"twists 0\.\.1000000000 span more than 10000"):
+        CohomTable(P3, line_chern(0), {(0, 0): (1, 1), (0, 10**9): (1, 1)})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DomainError, match="span more than 10000"):
+        CohomTable(P3, line_chern(0), {(0, -5000): (1, 1), (3, 5000): (1, 1)})
+    table = CohomTable(P3, line_chern(0), {(0, -5000): (1, 1), (3, 4999): (1, 1)})
+    assert (table.lo, len(table.columns)) == (-5000, 10_000)
 
 
 def test_equal_tables_compare_equal():
