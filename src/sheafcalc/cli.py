@@ -24,7 +24,6 @@ from .record import Record
 
 PRESETS_ENV = "SHEAFCALC_PRESETS"
 TWIST_WIDTH_CAP = 200
-BATCH_TWIST_WIDTH_CAP = 10_000  # a batch builds every row before printing
 SING1F_KINDS = ("empty", "irred", "other")  # dist.SING1_*, without loading dist
 
 
@@ -309,8 +308,11 @@ def _cmd_cohomology(args, parser):
         if as_json:
             return _cohom_payload(expr, X, table, lo, hi), None
         return None, [["twist", "h0", "h1", "h2", "h3", "chi"]] + _cohom_rows(table, lo, hi)
-    if hi - lo + 1 > BATCH_TWIST_WIDTH_CAP:
-        parser.error(f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}")
+    # a batch builds every row before printing, so it takes the engine's cap
+    from .cohomology import _MAX_SPAN
+
+    if hi - lo + 1 > _MAX_SPAN:
+        parser.error(f"--twists width exceeds {_MAX_SPAN}")
     try:
         text = Path(args.batch).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -26,7 +26,7 @@ from .chow import (
     ses_third,
     twist_chern,
 )
-from .errors import DomainError, Inconsistent, NotComputable
+from .errors import DomainError, Inconsistent
 from .record import Record, _set
 
 DIM = 3  # complex dimension of the ambient threefolds
@@ -76,9 +76,16 @@ class DimEntry(Record):
         return f"{self.lo}..{self.hi}"
 
 
-_MAX_SPAN = 10_000  # twists in one dict-built table, the command line's batch cap
+_MAX_SPAN = 10_000  # twists in one run of columns, the command line's batch cap
 _FREE = (0, None)  # the unknown entry
 _FREE_COLUMN = (_FREE,) * (DIM + 1)
+
+
+def _check_span(lo: int, hi: int) -> None:
+    # each twist of a run lo..hi takes a column, so a run is refused before
+    # any is built
+    if hi - lo + 1 > _MAX_SPAN:
+        raise DomainError(f"twists {lo}..{hi} span more than {_MAX_SPAN} columns")
 
 
 def _key(key) -> tuple[int, int]:
@@ -127,10 +134,7 @@ class CohomTable(Record):
             pairs = {_key(key): _pair(key, x) for key, x in entries.items()}
             twists = [t for _, t in pairs]
             lo, hi = min(twists), max(twists)
-            if hi - lo + 1 > _MAX_SPAN:
-                raise DomainError(
-                    f"twists {lo}..{hi} span more than {_MAX_SPAN} columns"
-                )
+            _check_span(lo, hi)
             columns = [
                 tuple(pairs.get((i, t), _FREE) for i in range(DIM + 1))
                 for t in range(lo, hi + 1)
@@ -170,34 +174,9 @@ def bott_h(p: int, q: int, t: int) -> int:
     return 0
 
 
-def line_h(X: ThreefoldData, i: int, t: int) -> int:
-    """h^i(O(t)): exact on P^3; elsewhere only the vanishing h^1 is known."""
-    if X.is_p3:
-        return bott_h(0, i, t)
-    if i == 1 and X.h1_line_vanishing:
-        return 0
-    raise NotComputable(
-        f"h^{i} of line bundles is not computable on '{X.name}'"
-    )
-
-
 def serre_tangent_h(q: int, t: int) -> int:
     """h^q of the twisted tangent bundle of P^3, through Serre duality."""
     return bott_h(1, DIM - q, -t - 4)
-
-
-def omega_chern(p: int) -> ChernData:
-    """Chern data of the p-th cotangent power on P^3."""
-    if p == 0:
-        return line_chern(0)
-    if p == 1:
-        return dual_chern(P3.tangent_chern)
-    if p == 2:
-        # second power = tangent bundle twisted by the canonical class
-        return twist_chern(P3.tangent_chern, -P3.cX, P3)
-    if p == 3:
-        return line_chern(-P3.cX)
-    raise DomainError(f"p = {p} out of range 0..{DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +209,7 @@ def line_table(s: int, lo: int, hi: int) -> CohomTable:
 
 def omega1_table(lo: int, hi: int) -> CohomTable:
     columns = [_bott_column(1, t) for t in range(lo, hi + 1)]
-    return CohomTable.of_columns(P3, omega_chern(1), lo, columns)
+    return CohomTable.of_columns(P3, dual_chern(P3.tangent_chern), lo, columns)
 
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
@@ -461,6 +440,7 @@ def les_chase(
     copies.  Entries are only ever tightened; an empty interval raises
     Inconsistent, signalling that the input data cannot sit in any exact
     sequence.  A kernel result bounded on one side only is stored unknown.
+    The three tables' twists may span at most 10,000 columns.
     """
     ta, tb, tc = tables
     if not ta.X == tb.X == tc.X:
@@ -471,6 +451,7 @@ def les_chase(
     ]
     lo = min((start for start, _ in spans), default=0)
     stop = max((end for _, end in spans), default=0)
+    _check_span(lo, stop - 1)
     # zip reads the twist first, so chi at t is evaluated, and may raise, after
     # the chase at t - 1, and never past the last twist
     chi_rows = zip(*(chi_series(table.chern, lo, table.X) for table in tables))

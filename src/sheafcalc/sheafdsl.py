@@ -342,16 +342,19 @@ def cohom_of(
     Entries are exact at atoms (Bott formula) and propagated through declared
     sequences by the dimension chaser; whatever a connecting map leaves
     undetermined stays an interval.  Only available on P^3, so the walk runs
-    on P3 whatever name X carries.
+    on P3 whatever name X carries.  The range may hold at most 10,000 twists.
     """
     # imported here: parse and chern_of need none of it
-    from .cohomology import CohomTable, les_chase, line_table, omega1_table, tangent_table
+    from .cohomology import (
+        CohomTable, _check_span, les_chase, line_table, omega1_table, tangent_table,
+    )
 
     if not X.is_p3:
         raise NotComputable(f"cohomology tables are only exact on p3, not '{X.name}'")
     lo, hi = twist_range
     if lo > hi:
         raise DomainError(f"empty twist range {lo}..{hi}")
+    _check_span(lo, hi)
     memo = {}  # the _facts memo of the whole call
 
     def walk(e, lo, hi):

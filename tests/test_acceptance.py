@@ -28,7 +28,6 @@ from sheafcalc.cohomology import (
     dist_sequence_tables,
     generic_dist_cohom,
     les_chase,
-    omega_chern,
 )
 from sheafcalc.dist import DistributionProfile, conn_components, dist_chern, singular_length
 from sheafcalc.errors import NegativeCount
@@ -40,7 +39,7 @@ from sheafcalc.modulispec import (
     normalize_chern,
     spectrum_point,
 )
-from sheafcalc.sheafdsl import parse, pretty
+from sheafcalc.sheafdsl import chern_of, parse, pretty
 
 
 @contextmanager
@@ -100,9 +99,10 @@ def test_criterion_3_cohomology_grid():
 def test_criterion_4_bott_serre_hrr_suite():
     with criterion(4, "Serre duality, the (p,p,0) exceptional value, and "
                       "alternating sums against Riemann-Roch on t in [-15,15]"):
-        for p in range(4):
+        # the p-th cotangent power of P^3 in the expression language
+        for p, src in enumerate(("O(0)", "Omega1", "twist(TX, -4)", "O(-4)")):
             assert bott_h(p, p, 0) == 1
-            c = omega_chern(p)
+            c = chern_of(parse(src))
             for q in range(4):
                 for t in range(-15, 16):
                     assert bott_h(p, q, t) == bott_h(3 - p, 3 - q, -t)

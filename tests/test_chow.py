@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -343,15 +344,16 @@ wide_ints = st.one_of(st.integers(-5000, 5000), st.integers(-(10**4000), 10**400
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_non_integral_messages_match_the_rational_route(data):
-    # the engine writes each fraction from integers; the reference divides
-    # exact fractions.  No public function reaches a non-integral c2.H or
-    # deg c3 from integer Chern data, so the character goes to _chern itself
+    # the engine writes each message from integers; the reference divides
+    # exact fractions.  Characters of integer Chern data keep c2.H and deg c3
+    # integral (test_integer_chern_data_stays_integral), so a negative rank is
+    # _chern's one refusal
     X = data.draw(st.one_of(threefolds, random_threefolds))
-    r, c1 = data.draw(st.integers(0, 8)), data.draw(st.integers(-(10**4), 10**4))
+    r, c1 = data.draw(st.integers(-8, -1)), data.draw(st.integers(-(10**4), 10**4))
     q2, N3 = data.draw(wide_ints), data.draw(wide_ints)
     ch = ChowClass(Fraction(r), Fraction(c1), Fraction(q2, 2 * X.h3), Fraction(N3, 6 * X.h3))
     assert _outcome(_chern, (r, c1, q2, N3), X.h3) == _outcome(ch_to_chern, ch, X)
-    c = ChernData(r, c1, data.draw(wide_ints), data.draw(wide_ints))
+    c = ChernData(data.draw(st.integers(0, 8)), c1, data.draw(wide_ints), data.draw(wide_ints))
     t = data.draw(st.integers(-200, 200))
     assert _outcome(chi_at_twist, c, t, X) == _outcome(_chi_by_characters, c, t, X)
 
@@ -391,3 +393,38 @@ def test_ses_third_and_sum_match_character_route(data):
     )
     parts = data.draw(st.lists(wide_chern_data, max_size=6))
     assert _outcome(sum_chern, parts, X) == _outcome(_sum_by_characters, parts, X)
+
+
+# ranks 0-8, every entry up to 10^4 in size
+small_chern_data = st.builds(
+    ChernData,
+    rank=st.integers(0, 8),
+    c1=st.integers(-(10**4), 10**4),
+    n2=st.integers(-(10**4), 10**4),
+    n3=st.integers(-(10**4), 10**4),
+)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_integer_chern_data_stays_integral(data):
+    # c1^2.h3 - q2 = 2.c2.H stays even under sums, differences and twists of
+    # characters, and the numerator of deg c3 divisible by 3, as x^3 = x
+    # (mod 3): the rational route, which checks both fractions, agrees with
+    # the engine and refuses only a negative rank
+    X = data.draw(st.one_of(threefolds, random_threefolds))
+    c, t = data.draw(small_chern_data), data.draw(st.integers(-(10**4), 10**4))
+    terms = data.draw(st.lists(small_chern_data, min_size=3, max_size=3))
+    terms[data.draw(st.integers(0, 2))] = None
+    parts = data.draw(st.lists(small_chern_data, max_size=6))
+    twisted = chern_to_ch(c, X) * ChowClass.exp_divisor(t)
+    for engine, rational in [
+        (_outcome(twist_chern, c, t, X), _outcome(ch_to_chern, twisted, X)),
+        (_outcome(ses_third, *terms, X), _outcome(_ses_third_by_characters, *terms, X)),
+        (_outcome(sum_chern, parts, X), _outcome(_sum_by_characters, parts, X)),
+    ]:
+        assert engine == rational
+        assert isinstance(engine, ChernData) or (
+            engine[0] == "NonIntegralChernClass"
+            and re.fullmatch(r"rank = -[1-9]\d* is negative", engine[1])
+        )

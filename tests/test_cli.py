@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
-from sheafcalc.cli import BATCH_TWIST_WIDTH_CAP, OutputDocument, _json_text, main
-from sheafcalc.cohomology import generic_dist_cohom
+from sheafcalc.cli import OutputDocument, _json_text, main
+from sheafcalc.cohomology import _MAX_SPAN, generic_dist_cohom
 from sheafcalc.errors import EngineError
 
 
@@ -335,17 +335,17 @@ def test_batch_twist_width_cap(capsys, tmp_path):
     batch = tmp_path / "exprs.txt"
     batch.write_text("O(1)\n")
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", "--batch", str(batch), "--twists", f"0..{BATCH_TWIST_WIDTH_CAP}"])
+        main(["cohomology", "--batch", str(batch), "--twists", f"0..{_MAX_SPAN}"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert f"--twists width exceeds {BATCH_TWIST_WIDTH_CAP}" in err
+    assert f"--twists width exceeds {_MAX_SPAN}" in err
 
     code, out, err = run_cli(
         capsys, "cohomology", "--batch", str(batch), "--twists",
-        f"1..{BATCH_TWIST_WIDTH_CAP}", "--format", "csv",
+        f"1..{_MAX_SPAN}", "--format", "csv",
     )
     assert code == 0 and err == ""
-    assert len(out.splitlines()) == 1 + BATCH_TWIST_WIDTH_CAP
+    assert len(out.splitlines()) == 1 + _MAX_SPAN
 
 
 def test_conncomp_generic_substitution(capsys):

@@ -209,6 +209,29 @@ def test_the_dict_refuses_a_run_of_more_than_ten_thousand_twists():
     assert (table.lo, len(table.columns)) == (-5000, 10_000)
 
 
+@pytest.mark.parametrize("far", [10**4, 10**5, 10**9])
+def test_les_chase_refuses_a_run_of_more_than_ten_thousand_twists(far):
+    # tables far apart chased a column at every twist in between
+    a, c = line_table(0, 0, 0), line_table(1, far, far)
+    b = CohomTable(P3, line_chern(0))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=rf"^twists 0\.\.{far} span more than 10000 columns$"):
+        les_chase((a, b, c))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("src", ["O(1)", "coker(O(-2) -> Omega1(1))"])
+def test_cohom_of_refuses_a_range_of_more_than_ten_thousand_twists(src):
+    e = parse(src)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^twists 0\.\.1000000000 span more than 10000 columns$"):
+        cohom_of(e, (0, 10**9))
+    with pytest.raises(DomainError, match=r"^twists -5000\.\.5000 span more than 10000 columns$"):
+        cohom_of(e, (-5000, 5000))
+    assert time.perf_counter() - start < 1.0
+    assert len(cohom_of(e, (-5000, 4999)).columns) == 10_000
+
+
 def test_equal_tables_compare_equal():
     chern = line_chern(1)
     entries = {

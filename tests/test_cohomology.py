@@ -29,18 +29,19 @@ from sheafcalc.cohomology import (
     dist_sequence_tables,
     generic_dist_cohom,
     les_chase,
-    line_h,
     line_table,
     omega1_table,
-    omega_chern,
     serre_tangent_h,
     tangent_table,
     _chase_single_twist,
     _propagate,
 )
 from sheafcalc.dist import DistributionProfile, dist_chern
-from sheafcalc.errors import EngineError, Inconsistent, NonIntegralChi, NotComputable
-from sheafcalc.sheafdsl import cohom_of, parse
+from sheafcalc.errors import EngineError, Inconsistent, NonIntegralChi
+from sheafcalc.sheafdsl import chern_of, cohom_of, parse
+
+# the Chern data of the p-th cotangent power of P^3, p = 0..3
+OMEGA = [chern_of(parse(src)) for src in ("O(0)", "Omega1", "twist(TX, -4)", "O(-4)")]
 
 
 def test_bott_values():
@@ -75,24 +76,10 @@ def test_bott_vanishing_band():
 
 def test_bott_alternating_sum_is_chi():
     for p in range(4):
-        c = omega_chern(p)
+        c = OMEGA[p]
         for t in range(-15, 16):
             alt = sum((-1) ** q * bott_h(p, q, t) for q in range(4))
             assert alt == chi_at_twist(twist_chern(c, t, P3), 0, P3)
-
-
-def test_line_h_on_p3():
-    assert line_h(P3, 0, 3) == 20
-    assert line_h(P3, 3, -4) == 1
-    assert line_h(P3, 1, -2) == 0
-
-
-def test_line_h_gating_off_p3():
-    assert line_h(QUINTIC, 1, 7) == 0
-    with pytest.raises(NotComputable):
-        line_h(QUINTIC, 2, -1)
-    with pytest.raises(NotComputable):
-        line_h(QUINTIC, 0, 0)
 
 
 def test_serre_tangent_values():
@@ -180,10 +167,10 @@ def test_chase_undetermined_connecting_map_width(m, n):
     # map between them is free, so both middle entries get a box of width
     # min(m, n)
     sub = _single_entry_table(
-        sum_chern([omega_chern(2)] * n, P3), 2, 0, n, [0]
+        sum_chern([OMEGA[2]] * n, P3), 2, 0, n, [0]
     )
     quot = _single_entry_table(
-        sum_chern([omega_chern(1)] * m, P3), 1, 0, m, [0]
+        sum_chern([OMEGA[1]] * m, P3), 1, 0, m, [0]
     )
     middle = CohomTable(
         P3, sum_chern([sub.chern, quot.chern], P3), {}

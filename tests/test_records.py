@@ -151,9 +151,9 @@ PUBLIC = [
     "bott_h", "chern_of", "chi_at_twist", "chow",
     "cohom_of", "cohomology", "conn_components", "curve_family", "dist",
     "dist_chern", "dual_chern", "errors", "ext2_dim", "generic_dist_cohom",
-    "global_gen_resolution", "les_chase", "line_chern", "line_h",
-    "load_threefold", "moduli_report", "modulispec", "normalize",
-    "normalize_chern", "omega_chern", "parse", "pic_act", "pretty",
+    "global_gen_resolution", "les_chase", "line_chern", "load_threefold",
+    "moduli_report", "modulispec", "normalize", "normalize_chern", "parse",
+    "pic_act", "pretty",
     "reflexive_dual_rank2", "serre_tangent_h", "ses_third", "sheafdsl",
     "singular_length", "spectrum_point", "stability_classify",
     "subfoliation_analyze", "sum_chern", "threefold_from_dict",
@@ -176,7 +176,7 @@ def test_package_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert json.loads(out) == [PUBLIC, PUBLIC, True, "0.1.0"]
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 56
     with pytest.raises(AttributeError):
         sheafcalc.no_such_name
 
