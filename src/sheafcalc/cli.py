@@ -159,6 +159,16 @@ def _pair_json(pair) -> dict:
     return {"status": "bounded", "lo": lo, "hi": hi}
 
 
+def _pair_text(pair) -> str:
+    # a table's (lo, hi) pair in a table or csv cell: 3, 1..4 or ?
+    lo, hi = pair
+    if hi is None:
+        return "?"
+    if lo == hi:
+        return str(lo)
+    return f"{lo}..{hi}"
+
+
 def _chern_triple(c) -> list:
     return [c.c1, c.n2, c.n3]
 
@@ -282,11 +292,9 @@ def _cohom_payload(expr, X, table, lo, hi) -> dict:
 
 
 def _cohom_rows(table, lo, hi) -> list:
-    from .cohomology import DimEntry
-
     chis = chi_series(table.chern, lo, table.X)
     return [
-        [str(t)] + [str(DimEntry(*x)) for x in table.column(t)] + [str(next(chis))]
+        [str(t)] + [_pair_text(x) for x in table.column(t)] + [str(next(chis))]
         for t in range(lo, hi + 1)
     ]
 
@@ -387,7 +395,7 @@ def _cmd_conncomp(args, parser):
                 "generic-case h^2 substitution is only available on p3"
             )
         d = 2 - args.c1
-        h2 = generic_dist_cohom(d, -d - 2)[2].value
+        h2 = generic_dist_cohom(d, -d - 2)[2].lo
         h2_origin = "generic-case"
         # the lemma's closed forms reach twist -d - 2 only up to degree 1
         h2_source = "serreDuality" if d >= 2 else "lemmaCohomology"

@@ -36,7 +36,7 @@ class DimEntry(Record):
     """One cohomology dimension: known exactly, boxed in an interval, or unknown.
 
     The closed interval [lo, hi], hi None only in the unknown [0, infinity):
-    the value generic_dist_cohom returns and the command line prints.
+    the value generic_dist_cohom returns.
     """
 
     lo: int
@@ -61,19 +61,6 @@ class DimEntry(Record):
         if self.hi == self.lo:
             return "known"
         return "bounded"
-
-    @property
-    def value(self) -> int:
-        if self.hi != self.lo:
-            raise DomainError(f"entry {self} has no exact value")
-        return self.lo
-
-    def __str__(self):
-        if self.hi is None:
-            return "?"
-        if self.hi == self.lo:
-            return str(self.lo)
-        return f"{self.lo}..{self.hi}"
 
 
 _MAX_SPAN = 10_000  # twists in one run of columns, the command line's batch cap
@@ -203,17 +190,20 @@ def _bott_column(p: int, t: int) -> tuple[tuple[int, int], ...]:
 
 
 def line_table(s: int, lo: int, hi: int) -> CohomTable:
+    _check_span(lo, hi)
     columns = [_bott_column(0, s + t) for t in range(lo, hi + 1)]
     return CohomTable.of_columns(P3, line_chern(s), lo, columns)
 
 
 def omega1_table(lo: int, hi: int) -> CohomTable:
+    _check_span(lo, hi)
     columns = [_bott_column(1, t) for t in range(lo, hi + 1)]
     return CohomTable.of_columns(P3, dual_chern(P3.tangent_chern), lo, columns)
 
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
     # Serre duality, as in serre_tangent_h: h^q(T(t)) = h^(3-q)(Omega1(-t-4))
+    _check_span(lo, hi)
     columns = [_bott_column(1, -t - 4)[::-1] for t in range(lo, hi + 1)]
     return CohomTable.of_columns(P3, P3.tangent_chern, lo, columns)
 
@@ -244,11 +234,14 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # - A^i + A^(i+1)) over B's pairs (B^i, B^(i+1)): their boxes and the band
 # for B^i - B^(i+1) that the other two terms leave.  These are bounds on
 # B^i, B^(i+1) and their difference, so a difference-constraint argument
-# shows the least value is the largest of the four pieces' own minima.  So
-# every answer is the projection of the exact chains.  A free A, C exact, is
-# the same on the chain read backwards.  An exact middle, the common case,
-# keeps a shorter form of the same solution; columns with no exact end are
-# left to propagation.
+# shows the least value is the largest of the four pieces' own minima.  The
+# band may take its boxes' part at B's projected bounds, B^i's least less
+# B^(i+1)'s largest, as no chain goes below it; that part is the sum of the
+# middle two pieces, so the least C^i is (B^i's least - A^i)^+ + (A^(i+1) -
+# B^(i+1)'s largest)^+, or the band chi_B leaves if that asks for more.  So
+# every answer is the projection of the exact chains, whether the middle is
+# exact or boxed.  A free A, C exact, is the same on the chain read backwards.
+# Columns with no exact end are left to propagation.
 
 # The rules (v, a, b, p, q): v = c[q] + a + b - p over variables x[k] = k and
 # r[k] = 12 + k, with c the three chis, their negatives and 0.  Per k:
@@ -292,13 +285,11 @@ def _chase_single_twist(xs, chis):
     """
     _check_additive(chis)
     if _free(xs, 2) and _exact(xs, 0):
-        solve = _solve_free_last if _exact(xs, 1) else _solve_exact_end
-        return solve(xs, chis)
+        return _solve_exact_end(xs, chis)
     if _free(xs, 0) and _exact(xs, 2):
         # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
         # Euler characteristics are -chi_C, -chi_B, -chi_A
-        solve = _solve_free_last if _exact(xs, 1) else _solve_exact_end
-        return solve(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
+        return _solve_exact_end(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
     return _propagate(xs, chis)
 
 
@@ -307,86 +298,53 @@ def _free(xs, j):
     return xs[j] == xs[j + 3] == xs[j + 6] == xs[j + 9] == _FREE
 
 
-def _exact(xs, *terms):
-    """Whether every entry of the given terms is an exact value."""
-    return all(lo == hi for j in terms for lo, hi in xs[j::3])
-
-
-def _upper(*bounds):
-    """The least of some upper bounds, None (no bound) if all are None."""
-    return min((x for x in bounds if x is not None), default=None)
+def _exact(xs, j):
+    """Whether every entry of term j is an exact value."""
+    return all(lo == hi for lo, hi in xs[j::3])
 
 
 def _solve_exact_end(xs, chis):
     """The closed form above: A exact, C free, chis additive.  None stands
     for a missing upper bound throughout."""
-    a = [lo for lo, _ in xs[0::3]]
-    a0, a1, a2, a3 = a
+    a0, a1, a2, a3 = xs[0][0], xs[3][0], xs[6][0], xs[9][0]
+    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = xs[1], xs[4], xs[7], xs[10]
+    chi = chis[1]
     if a0 - a1 + a2 - a3 != chis[0]:
         raise Inconsistent(_EMPTY)
-    chi = chis[1]
-    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = xs[1::3]
     l0 = max(l0, a0)
     # B's projection: by B^0 - B^1 + B^2 - B^3 = chi_B, a term's lower bound
     # needs the upper bound of the other term of its parity, and its upper
     # bound those of both terms of the other parity
-    odd = None if h1 is None or h3 is None else chi + h1 + h3
-    even = None if h0 is None or h2 is None else h0 + h2 - chi
-    b_lo = [
-        l0 if h2 is None else max(l0, chi + l1 + l3 - h2),
-        l1 if h3 is None else max(l1, l0 + l2 - h3 - chi),
-        l2 if h0 is None else max(l2, chi + l1 + l3 - h0),
-        l3 if h1 is None else max(l3, l0 + l2 - h1 - chi),
-    ]
-    b_hi = [
-        _upper(h0, None if odd is None else odd - l2),
-        _upper(h1, None if even is None else even - l3),
-        _upper(h2, None if odd is None else odd - l0),
-        _upper(h3, None if even is None else even - l1),
-        None,  # past B^3 the chain has A^4 = s_4 = 0 and no B^4 bound
-    ]
-    if any(hi is not None and lo > hi for lo, hi in zip(b_lo, b_hi)):
+    k0 = l0 if h2 is None else max(l0, chi + l1 + l3 - h2)
+    k1 = l1 if h3 is None else max(l1, l0 + l2 - h3 - chi)
+    k2 = l2 if h0 is None else max(l2, chi + l1 + l3 - h0)
+    k3 = l3 if h1 is None else max(l3, l0 + l2 - h1 - chi)
+    u0, u1, u2, u3 = h0, h1, h2, h3
+    if h1 is not None and h3 is not None:
+        u0 = chi + h1 + h3 - l2 if h0 is None else min(h0, chi + h1 + h3 - l2)
+        u2 = chi + h1 + h3 - l0 if h2 is None else min(h2, chi + h1 + h3 - l0)
+    if h0 is not None and h2 is not None:
+        u1 = h0 + h2 - chi - l3 if h1 is None else min(h1, h0 + h2 - chi - l3)
+        u3 = h0 + h2 - chi - l1 if h3 is None else min(h3, h0 + h2 - chi - l1)
+    if (u0 is not None and k0 > u0 or u1 is not None and k1 > u1
+            or u2 is not None and k2 > u2 or u3 is not None and k3 > u3):
         raise Inconsistent(_EMPTY)
-    # the least B^i - B^(i+1): chi_B less the other two terms, and the boxes
-    bands = [
-        None if h2 is None else chi - h2 + l3,
-        None if h3 is None else l0 - h3 - chi,
-        None if h0 is None else chi - h0 + l1,
+    # C^i = B^i - A^i + s_i + s_(i+1), least and largest as above; k0 >= A^0
+    c0 = k0 - a0 + (0 if u1 is None else max(0, a1 - u1))
+    c1 = max(0, k1 - a1) + (0 if u2 is None else max(0, a2 - u2))
+    c2 = max(0, k2 - a2) + (0 if u3 is None else max(0, a3 - u3))
+    if h2 is not None:
+        c0 = max(c0, chi - h2 + l3 - a0 + a1)
+    if h3 is not None:
+        c1 = max(c1, l0 - h3 - chi - a1 + a2)
+    if h0 is not None:
+        c2 = max(c2, chi - h0 + l1 - a2 + a3)
+    return [
+        xs[0], (k0, u0), (c0, None if u0 is None else u0 - a0 + a1),
+        xs[3], (k1, u1), (c1, None if u1 is None else u1 + a2),
+        xs[6], (k2, u2), (c2, None if u2 is None else u2 + a3),
+        xs[9], (k3, u3), (max(0, k3 - a3), u3),
     ]
-    for i, (lo, hi) in enumerate(((l0, h1), (l1, h2), (l2, h3))):
-        if hi is not None:
-            bands[i] = lo - hi if bands[i] is None else max(bands[i], lo - hi)
-    bands.append(None)
-    a.append(0)
-    out = list(xs)
-    for i in range(4):
-        # C^i = B^i - A^i + s_i + s_(i+1), least and largest as above
-        low = max(0, b_lo[i] - a[i])
-        if b_hi[i + 1] is not None:
-            low = max(low, a[i + 1] - b_hi[i + 1])
-        if bands[i] is not None:
-            low = max(low, bands[i] - a[i] + a[i + 1])
-        top = b_hi[i]
-        if top is not None:
-            top += a[i + 1] - (a0 if i == 0 else 0)
-        out[3 * i + 1] = (b_lo[i], b_hi[i])
-        out[3 * i + 2] = (low, top)
-    return out
-
-
-def _solve_free_last(xs, chis):
-    """The closed form above with B exact: every s_i bound is a number."""
-    a0, a1, a2, a3 = (lo for lo, _ in xs[0::3])
-    b0, b1, b2, b3 = (lo for lo, _ in xs[1::3])
-    if a0 - a1 + a2 - a3 != chis[0] or b0 - b1 + b2 - b3 != chis[1] or a0 > b0:
-        raise Inconsistent(_EMPTY)
-    lo1, lo2, lo3 = max(0, a1 - b1), max(0, a2 - b2), max(0, a3 - b3)
-    out = list(xs)
-    out[2] = (b0 - a0 + lo1, b0 - a0 + a1)
-    out[5] = (b1 - a1 + lo1 + lo2, b1 + a2)
-    out[8] = (b2 - a2 + lo2 + lo3, b2 + a3)
-    out[11] = (b3 - a3 + lo3, b3)
-    return out
 
 
 def _propagate(xs, chis):

@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, line_chern
-from sheafcalc.cohomology import CohomTable, DimEntry, bott_h, les_chase, line_table
+from sheafcalc.cohomology import (
+    CohomTable,
+    DimEntry,
+    bott_h,
+    dist_sequence_tables,
+    les_chase,
+    line_table,
+    omega1_table,
+    tangent_table,
+)
 from sheafcalc.errors import DomainError, EngineError
 from sheafcalc.sheafdsl import (
     AtomNamed,
@@ -230,6 +239,28 @@ def test_cohom_of_refuses_a_range_of_more_than_ten_thousand_twists(src):
         cohom_of(e, (-5000, 5000))
     assert time.perf_counter() - start < 1.0
     assert len(cohom_of(e, (-5000, 4999)).columns) == 10_000
+
+
+BUILDERS = {
+    "line_table": lambda lo, hi: line_table(3, lo, hi),
+    "omega1_table": omega1_table,
+    "tangent_table": tangent_table,
+    # its middle table, Omega1(0) at d = 2, has one column per twist too
+    "dist_sequence_tables": lambda lo, hi: dist_sequence_tables(2, lo, hi)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_an_atom_table_refuses_a_run_of_more_than_ten_thousand_twists(name):
+    # a builder made a column for every twist of any run it was given
+    build = BUILDERS[name]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^twists 0\.\.1000000000 span more than 10000 columns$"):
+        build(0, 10**9)
+    with pytest.raises(DomainError, match=r"^twists -5000\.\.5000 span more than 10000 columns$"):
+        build(-5000, 5000)
+    assert time.perf_counter() - start < 1.0
+    assert len(build(-5000, 4999).columns) == 10_000
 
 
 def test_equal_tables_compare_equal():

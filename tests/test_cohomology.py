@@ -730,6 +730,54 @@ def test_a_boxed_middle_is_solved_to_the_exact_chains():
     assert _chase_single_twist(xs[::-1], reversed_chis) == out[::-1]
 
 
+def _exact_middle_answer(a, b):
+    # C's entries when A and B are exact and C free, written out directly:
+    # C^i = B^i - A^i + s_i + s_(i+1) with s_0 = s_4 = 0 and each other s_i
+    # in [(A^i - B^i)^+, A^i], so it is least at each s_i's least value
+    least = [0] + [max(0, a[i] - b[i]) for i in (1, 2, 3)] + [0]
+    a = list(a) + [0]
+    return [
+        (b[i] - a[i] + least[i] + least[i + 1], b[i] + a[i + 1] - (a[0] if i == 0 else 0))
+        for i in range(4)
+    ]
+
+
+big_dims = st.one_of(st.integers(0, 12), st.integers(0, 10**330))
+
+
+@given(
+    st.lists(big_dims, min_size=4, max_size=4),
+    st.lists(big_dims, min_size=4, max_size=4),
+    st.sampled_from(["none", "order", "chi"]),
+    st.integers(1, 10**330),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_an_exact_middle_has_the_exact_middle_formulas(a, b, fault, delta, mirror):
+    # A and B exact with A^0 <= B^0, C free, additive chis; or A^0 > B^0, or
+    # chi_B off by delta with chi_C following, neither of which a chain allows
+    if (a[0] > b[0]) != (fault == "order"):
+        a[0], b[0] = b[0], a[0]
+    assume(fault != "order" or a[0] > b[0])
+    chis = [_alternating(a), _alternating(b)]
+    if fault == "chi":
+        chis[1] += delta
+    chis.append(chis[1] - chis[0])
+    xs = [x for i in range(4) for x in ((a[i], a[i]), (b[i], b[i]), (0, None))]
+    expected = list(xs)
+    expected[2::3] = _exact_middle_answer(a, b)
+    if mirror:
+        xs, chis, expected = xs[::-1], (-chis[2], -chis[1], -chis[0]), expected[::-1]
+    with mock.patch.object(
+        cohomology, "_propagate", side_effect=AssertionError("propagated")
+    ):
+        if fault == "none":
+            assert _chase_single_twist(list(xs), tuple(chis)) == expected
+        else:
+            with pytest.raises(Inconsistent, match="empty interval"):
+                _chase_single_twist(list(xs), tuple(chis))
+
+
 def test_a_coker_or_ker_of_a_chased_subtree_never_propagates():
     # ker(TX(1) -> O(43)) is boxed at 6 of these 7 twists, so the outer ker
     # has an exact first term, a boxed middle and a free last term there
@@ -834,7 +882,8 @@ def test_generic_dist_grid_matches_lemma_and_chase():
         entries = generic_dist_cohom(d, p)
         _lemma_checks(d, p, entries)
         for i, (lo, hi) in enumerate(_propagated_quotient(d, p)):
-            value = entries[i].value
+            assert entries[i].status == "known"
+            value = entries[i].lo
             assert lo <= value and (hi is None or value <= hi)
             sharper += lo != hi
     assert sharper > 0
@@ -869,7 +918,8 @@ def test_generic_dist_chi_consistency():
     for d, p in GRID:
         chern = ChernData(2, 2 - d, d * d + 2, d**3 + 2 * d * d + 2 * d)
         entries = generic_dist_cohom(d, p)
-        alt = sum((-1) ** i * entries[i].value for i in range(4))
+        assert all(entries[i].status == "known" for i in range(4))
+        alt = sum((-1) ** i * entries[i].lo for i in range(4))
         assert alt == chi_at_twist(chern, p, P3)
 
 

@@ -27,7 +27,7 @@ from sheafcalc.errors import (
     RankError,
     UnknownIdentifier,
 )
-from sheafcalc.cli import main
+from sheafcalc.cli import _pair_text, main
 from sheafcalc.sheafdsl import (
     _MAX_DEPTH,
     AtomNamed,
@@ -264,7 +264,7 @@ def test_walk_order_decides_which_error_wins(src, expected):
     except (Inconsistent, RankError, UnknownIdentifier) as exc:
         outcome = f"{exc.name}: {exc}"
     else:
-        outcome = " ".join(str(DimEntry(*x)) for x in table.column(0))
+        outcome = " ".join(_pair_text(x) for x in table.column(0))
     assert outcome == expected
 
 
