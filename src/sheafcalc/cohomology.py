@@ -284,23 +284,16 @@ def _chase_single_twist(xs, chis):
     solved in closed form, any other by propagation.
     """
     _check_additive(chis)
-    if _free(xs, 2) and _exact(xs, 0):
+    a0, b0, c0, a1, b1, c1, a2, b2, c2, a3, b3, c3 = xs
+    if (c0 == c1 == c2 == c3 == _FREE and a0[0] == a0[1] and a1[0] == a1[1]
+            and a2[0] == a2[1] and a3[0] == a3[1]):
         return _solve_exact_end(xs, chis)
-    if _free(xs, 0) and _exact(xs, 2):
+    if (a0 == a1 == a2 == a3 == _FREE and c0[0] == c0[1] and c1[0] == c1[1]
+            and c2[0] == c2[1] and c3[0] == c3[1]):
         # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
         # Euler characteristics are -chi_C, -chi_B, -chi_A
         return _solve_exact_end(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
     return _propagate(xs, chis)
-
-
-def _free(xs, j):
-    """Whether every entry of term j is the unknown (0, None)."""
-    return xs[j] == xs[j + 3] == xs[j + 6] == xs[j + 9] == _FREE
-
-
-def _exact(xs, j):
-    """Whether every entry of term j is an exact value."""
-    return all(lo == hi for lo, hi in xs[j::3])
 
 
 def _solve_exact_end(xs, chis):
@@ -410,19 +403,34 @@ def les_chase(
     lo = min((start for start, _ in spans), default=0)
     stop = max((end for _, end in spans), default=0)
     _check_span(lo, stop - 1)
-    # zip reads the twist first, so chi at t is evaluated, and may raise, after
-    # the chase at t - 1, and never past the last twist
-    chi_rows = zip(*(chi_series(table.chern, lo, table.X) for table in tables))
-    chains = []
-    for t, chis in zip(range(lo, stop), chi_rows):
-        # chain order A^0, B^0, C^0, A^1, ...
-        xs = [x for x3 in zip(ta.column(t), tb.column(t), tc.column(t)) for x in x3]
-        chains.append([
-            _FREE if x[1] is None else x for x in _chase_single_twist(xs, chis)
-        ])
+    # each table's columns at twists lo..stop - 1, unknown outside its run
+    runs = []
+    for table in tables:
+        start = table.lo if table.columns else lo
+        end = start + len(table.columns)
+        runs.append(
+            [_FREE_COLUMN] * (start - lo) + table.columns + [_FREE_COLUMN] * (stop - end)
+        )
+    out_a, out_b, out_c = [], [], []
+    # zip reads the columns first, so chi at t is evaluated, and may raise,
+    # after the chase at t - 1, and never past the last twist
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), chis in zip(
+        *runs, zip(*(chi_series(table.chern, lo, table.X) for table in tables))
+    ):
+        # chain order A^0, B^0, C^0, A^1, ..., chased and split back into the
+        # three tables' columns
+        a0, b0, c0, a1, b1, c1, a2, b2, c2, a3, b3, c3 = [
+            _FREE if x[1] is None else x
+            for x in _chase_single_twist(
+                [a0, b0, c0, a1, b1, c1, a2, b2, c2, a3, b3, c3], chis
+            )
+        ]
+        out_a.append((a0, a1, a2, a3))
+        out_b.append((b0, b1, b2, b3))
+        out_c.append((c0, c1, c2, c3))
     return tuple(
-        CohomTable.of_columns(ta.X, table.chern, lo, [tuple(c[j::3]) for c in chains])
-        for j, table in enumerate(tables)
+        CohomTable.of_columns(ta.X, table.chern, lo, columns)
+        for table, columns in zip(tables, (out_a, out_b, out_c))
     )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import enum
 import io
 import json
 import os
@@ -687,9 +688,29 @@ json_strings = st.text(st.one_of(
     st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600𐏿'),
     st.characters(blacklist_categories=()),  # every code point, lone surrogates too
 ))
+
+
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 7
+
+
+class _Count(int):
+    # json.dumps writes an int subclass with int.__repr__, not with its own
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+class _Name(str):
+    pass
+
+
+# the writer writes members of exactly str or int in place; bools, IntEnum
+# members and other subclasses take its general path and must match too
 json_values = st.recursive(
     st.one_of(
-        st.none(), st.booleans(), st.integers(), near_limit, json_strings
+        st.none(), st.booleans(), st.integers(), near_limit, json_strings,
+        st.sampled_from(_Level), st.integers().map(_Count), json_strings.map(_Name),
     ),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
@@ -731,7 +752,11 @@ def test_the_json_writer_writes_every_golden_payload():
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, {1, 2}, [0, {"a": 2.0}], {"a": frozenset()}, {1: "int key"}, object()]
+    "value", [
+        1.5, {1, 2}, [0, {"a": 2.0}], {"a": frozenset()}, {1: "int key"}, object(),
+        # floats as direct members, past the in-place branches
+        {"a": 1.5}, [None, 2.5],
+    ]
 )
 def test_the_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

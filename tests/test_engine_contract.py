@@ -13,7 +13,11 @@ from pathlib import Path
 import pytest
 
 from sheafcalc import chow, cli, cohomology
-from sheafcalc.cohomology import CohomTable, dist_sequence_tables, les_chase
+from sheafcalc.chow import P3, line_chern, sum_chern
+from sheafcalc.cohomology import (
+    CohomTable, bott_h, dist_sequence_tables, les_chase, line_table,
+)
+from sheafcalc.sheafdsl import cohom_of, parse
 
 RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -54,6 +58,34 @@ def test_each_span_names_a_public_function_of_its_home_module(span):
     # run.py names the span whole, or the function in a loop over its module
     text = RUN_PY.read_text(encoding="utf-8")
     assert f'"{span}"' in text or f'"{name}"' in text
+
+
+def test_les_chase_calls_the_single_twist_chase_once_per_twist(monkeypatch):
+    # the worker wraps the module's _chase_single_twist as the
+    # cohomology.chase_twist span, from which les_chase.twists and
+    # us_per_twist are read, so les_chase looks it up at every twist
+    calls = []
+    chase = cohomology._chase_single_twist
+
+    def counting(xs, chis):
+        calls.append(len(xs))
+        return chase(xs, chis)
+
+    monkeypatch.setattr(cohomology, "_chase_single_twist", counting)
+    cohom_of(parse("ker(TX(1) -> O(40))"), (-25, 25))
+    assert calls == [12] * 51
+    # runs -3..0 and -1..2, and a quotient without columns: twists -3..2
+    calls.clear()
+    o, o1 = line_chern(0), line_chern(1)
+    middle = CohomTable(P3, sum_chern([o, o1], P3), {
+        (i, t): (n, n)
+        for t in range(-1, 3)
+        for i in range(4)
+        for n in [bott_h(0, i, t) + bott_h(0, i, t + 1)]
+    })
+    tables = (line_table(0, -3, 0), middle, CohomTable(P3, o1))
+    les_chase(tables)
+    assert calls == [12] * 6
 
 
 def test_cohomology_calls_chow_chi_at_twist_by_its_own_name():
