@@ -10,7 +10,7 @@ character (rank, c1, 2.h3.ch_2, 6.h3.ch_3), at every rank.
 from __future__ import annotations
 
 import json
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
 from .errors import (
@@ -27,13 +27,6 @@ TX_STABLE = "stable"
 TX_SEMISTABLE = "semistable"
 TX_UNKNOWN = "unknown"
 _TX_FLAGS = (TX_STABLE, TX_SEMISTABLE, TX_UNKNOWN)
-
-
-def comb0(n: int, k: int) -> int:
-    """Binomial coefficient clamped to 0 for n < k (including negative n)."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 class ThreefoldData(Record):

@@ -529,15 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_twist_values(argv: list) -> list:
     # argparse mistakes a leading-dash value like -1..1 for an option flag;
-    # fold it into --twists=... form so the documented syntax works
+    # fold it into --twists=... form so the documented syntax works, also
+    # after an abbreviation that argparse reads as --twists (--tw and longer)
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--twists" and i + 1 < len(argv):
+        arg = argv[i]
+        if len(arg) > 3 and "--twists".startswith(arg) and i + 1 < len(argv):
             out.append(f"--twists={argv[i + 1]}")
             i += 2
             continue
-        out.append(argv[i])
+        out.append(arg)
         i += 1
     return out
 

@@ -20,7 +20,6 @@ from .chow import (
     ThreefoldData,
     chi_at_twist,
     chi_series,
-    comb0,
     dual_chern,
     line_chern,
     ses_third,
@@ -155,9 +154,9 @@ def bott_h(p: int, q: int, t: int) -> int:
     if q == p and t == 0:
         return 1
     if q == 0 and t > p:
-        return comb0(t + DIM - p, t) * comb0(t - 1, p)
+        return comb(t + DIM - p, t) * comb(t - 1, p)
     if q == DIM and t < p - DIM:
-        return comb0(-t + p, -t) * comb0(-t - 1, DIM - p)
+        return comb(-t + p, -t) * comb(-t - 1, DIM - p)
     return 0
 
 
@@ -467,7 +466,7 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
         raise DomainError(f"degree must be >= 0, got {d}")
 
     def sections(t):  # h^0(F(t))
-        return max(0, bott_h(1, 0, t + 2 - d) - comb0(t - 2 * d + 3, 3))
+        return max(0, bott_h(1, 0, t + 2 - d) - bott_h(0, 0, t - 2 * d))
 
     h0, h3 = sections(p), sections(d - 6 - p)
     h1 = 1 if p == d - 2 else 0

@@ -56,6 +56,8 @@ class SpectrumPoint(Record):
 
 
 def _p3_profile(d: int) -> DistributionProfile:
+    if d < 0:
+        raise DomainError(f"degree must be >= 0, got {d}")
     return DistributionProfile(P3, 2 - d, generic=True)
 
 
@@ -72,8 +74,6 @@ def ext2_dim(d: int) -> int:
 def moduli_report(d: int) -> ModuliReport:
     """Component dimension, self-extension counts and attributes of the
     moduli component of degree-d tangent sheaves on P^3."""
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
     chern = dist_chern(_p3_profile(d))
     ext2 = ext2_dim(d)
     ext1 = 6 * d * d + 8 * d + 5 + ext2
@@ -102,8 +102,6 @@ def global_gen_resolution(d: int) -> ResolutionReport:
     from the distribution formulas; the tests check that it is the Chern data
     of the resolution's cokernel.
     """
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
     chern_twisted = twist_chern(dist_chern(_p3_profile(d)), d, P3)
     if d == 0:
         return ResolutionReport(

@@ -143,16 +143,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, text=None):
+    def expect(self, sym):
+        # only sym and arrow tokens have the text "(", ")", "," or "->"
         tok = self.next()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise DslSyntaxError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def expect_sym(self, sym):
-        kind = "arrow" if sym == "->" else "sym"
-        return self.expect(kind, sym)
+        if tok[1] != sym:
+            raise DslSyntaxError(f"expected {sym!r}, found {tok[1]!r}", tok[2])
 
     def parse_int(self) -> int:
         tok = self.next()
@@ -190,9 +185,9 @@ class _Parser:
         self.check_depth(depth, tok[2])
         word = tok[1]
         if word == "O":
-            self.expect_sym("(")
+            self.expect("(")
             t = self.parse_int()
-            self.expect_sym(")")
+            self.expect(")")
             return AtomO(t), 1
         if word in ("TX", "Omega1"):
             atom = AtomTX() if word == "TX" else AtomOmega1()
@@ -200,27 +195,27 @@ class _Parser:
                 self.check_depth(depth + 1, tok[2])
                 self.next()
                 t = self.parse_int()
-                self.expect_sym(")")
+                self.expect(")")
                 return Twist(atom, t), 2
             return atom, 1
         if word == "twist":
-            self.expect_sym("(")
+            self.expect("(")
             base, height = self.parse_expr(depth + 1)
-            self.expect_sym(",")
+            self.expect(",")
             t = self.parse_int()
-            self.expect_sym(")")
+            self.expect(")")
             return Twist(base, t), height + 1
         if word in ("dual", "rdual"):
-            self.expect_sym("(")
+            self.expect("(")
             base, height = self.parse_expr(depth + 1)
-            self.expect_sym(")")
+            self.expect(")")
             return Dual(base, reflexive_rank2=(word == "rdual")), height + 1
         if word in ("coker", "ker"):
-            self.expect_sym("(")
+            self.expect("(")
             first, first_height = self.parse_expr(depth + 1)
-            self.expect_sym("->")
+            self.expect("->")
             second, second_height = self.parse_expr(depth + 1)
-            self.expect_sym(")")
+            self.expect(")")
             height = max(first_height, second_height) + 1
             if word == "coker":
                 return Coker(sub=first, ambient=second), height

@@ -6,6 +6,7 @@ is exact integer equality, no tolerances anywhere.
 
 import random
 from contextlib import contextmanager
+from math import comb
 
 import pytest
 from chow_reference import ch_to_chern, chern_to_ch
@@ -15,7 +16,6 @@ from sheafcalc.chow import (
     QUINTIC,
     ChernData,
     chi_at_twist,
-    comb0,
     line_chern,
     ses_third,
     sum_chern,
@@ -40,6 +40,12 @@ from sheafcalc.modulispec import (
     spectrum_point,
 )
 from sheafcalc.sheafdsl import chern_of, parse, pretty
+
+
+def comb0(n, k):
+    """The binomial, 0 unless 0 <= k <= n: the lemma's h^2 closed form, kept
+    apart from the engine's Bott formula."""
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 @contextmanager

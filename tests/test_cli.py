@@ -73,6 +73,13 @@ def test_cohomology_table_has_h1_at_d_minus_2(capsys):
     row = dict(zip(["twist", "h0", "h1", "h2", "h3", "chi"], lines[2].split()))
     assert row == {"twist": "-1", "h0": "0", "h1": "1", "h2": "0", "h3": "0",
                    "chi": "-1"}
+    # an abbreviation argparse reads as --twists takes a negative range too
+    for flag in ("--twist", "--tw"):
+        assert run_cli(capsys, "cohomology", "--sheaf", "coker(O(-2) -> Omega1(1))",
+                       flag, "-1..1") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:  # --threefold or --twists
+        main(["cohomology", "--sheaf", "O(1)", "--t", "-1..1"])
+    assert exc.value.code == 2
 
 
 def test_cohomology_json_entry_statuses(capsys):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,6 @@ from sheafcalc.chow import (
     ChernData,
     ThreefoldData,
     chi_at_twist,
-    comb0,
     line_chern,
     sum_chern,
     twist_chern,
@@ -39,6 +39,13 @@ from sheafcalc.cohomology import (
 from sheafcalc.dist import DistributionProfile, dist_chern
 from sheafcalc.errors import EngineError, Inconsistent, NonIntegralChi
 from sheafcalc.sheafdsl import chern_of, cohom_of, parse
+
+
+def comb0(n, k):
+    """The binomial, 0 unless 0 <= k <= n: the lemma's h^2 closed form, kept
+    apart from the engine's Bott formula."""
+    return comb(n, k) if 0 <= k <= n else 0
+
 
 # the Chern data of the p-th cotangent power of P^3, p = 0..3
 OMEGA = [chern_of(parse(src)) for src in ("O(0)", "Omega1", "twist(TX, -4)", "O(-4)")]

@@ -47,6 +47,15 @@ def test_repr_keeps_the_field_format(value, text):
     assert repr(value) == text
 
 
+@pytest.mark.parametrize("entry, status", [
+    (DimEntry(2, 2), "known"),
+    (DimEntry(1, 4), "bounded"),
+    (DimEntry(0, None), "unknown"),
+])
+def test_dim_entry_status(entry, status):
+    assert entry.status == status
+
+
 def test_positional_keyword_and_default_construction():
     assert ChernData(2, -1, 11, 51) == ChernData(rank=2, c1=-1, n2=11, n3=51)
     assert ChernData(2, -1, n3=51, n2=11).n2 == 11
