@@ -1,14 +1,14 @@
 """Exact sheaf-cohomology dimensions on projective 3-space.
 
 Atoms are handled by the closed Bott formula; declared short exact sequences
-are handled by a dimension chaser over the induced long exact sequence.  A
-twist whose first term is exact and whose last term has no information, or
-the other way round, is solved in closed form whatever the middle term: the
-answer is the projection of every exact chain the data allow.  Interval
-propagation serves only the twists with no exact end.  The chaser never
-guesses the rank of a connecting map: when a rank is genuinely undetermined
-the answer stays an interval.  Tables store each entry as the (lo, hi) pair
-the chaser reads and writes."""
+are handled by a dimension chaser over the induced long exact sequence, whose
+answer at each twist is the projection of every exact chain the data allow.
+A twist whose first term is exact and whose last term has no information, or
+the other way round, is solved in closed form whatever the middle term; any
+other by an exact simplex method.  The chaser never guesses the rank of a
+connecting map: when a rank is genuinely undetermined the answer stays an
+interval.  Tables store each entry as the (lo, hi) pair the chaser reads and
+writes."""
 
 from __future__ import annotations
 
@@ -213,11 +213,13 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # For a short exact sequence A -> B -> C the twelve cohomology dimensions at a
 # fixed twist sit in an exact chain x0 .. x11 (A^0, B^0, C^0, A^1, ...).
 # Writing r[k] for the rank of the k-th map (r[0] = r[12] = 0 at the closed
-# ends), a column is one linear system: exactness x[k] = r[k] + r[k+1] and the
-# three Euler characteristics.  Each equation solved for each unknown is a
-# rule of one shape, v = c + a + b - p, where the fixed r[0] = 0 stands in for
-# a missing term.  The chaser runs interval propagation over these rules,
-# intersecting only, so it is sound, monotone and idempotent by construction.
+# ends), a column is one linear system in r[1..11] >= 0: exactness x[k] =
+# r[k] + r[k+1] within x[k]'s bounds and the three Euler characteristics.  Its
+# matrix is totally unimodular, so each entry's least and largest value over
+# the real solutions are those of the exact chains, and with no real solution
+# there is no chain (Schrijver, Theory of Linear and Integer Programming,
+# ch. 19).  The chaser answers each column with that projection, which makes
+# it sound, sharp, monotone and idempotent.
 #
 # Closed form for A exact and C free, B anything: with s_i = r[3i], the rank
 # of C^(i-1) -> A^i (s_0 = s_4 = 0, which needs A^0 <= B^0), exactness at A^i
@@ -240,49 +242,25 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # B^(i+1)'s largest)^+, or the band chi_B leaves if that asks for more.  So
 # every answer is the projection of the exact chains, whether the middle is
 # exact or boxed.  A free A, C exact, is the same on the chain read backwards.
-# Columns with no exact end are left to propagation.
+# Every other column is solved by the simplex method.
 
-# The rules (v, a, b, p, q): v = c[q] + a + b - p over variables x[k] = k and
-# r[k] = 12 + k, with c the three chis, their negatives and 0.  Per k:
-# x[k] = r[k] + r[k+1], r[k] = x[k] - r[k+1], r[k+1] = x[k] - r[k].  Then per
-# sheaf j, its h^pos x[i] = (-1)^pos chi_j + x[a] + x[b] - x[p], where a and b
-# are its h^q with q - pos odd and p is its h^(pos+2 mod 4).
-_R0 = 12  # r[0], fixed at 0
-_RULES = tuple(
-    rule
-    for k in range(12)
-    for rule in (
-        (k, 12 + k, 13 + k, _R0, 6),
-        (12 + k, k, _R0, 13 + k, 6),
-        (13 + k, k, _R0, 12 + k, 6),
-    )
-) + tuple(
-    (3 * pos + j, 3 * ((pos + 1) % 4) + j, 3 * ((pos + 3) % 4) + j,
-     3 * ((pos + 2) % 4) + j, j + 3 * (pos % 2))
-    for j in range(3)
-    for pos in range(4)
-)
+# an unrealizable column's message, worded as the command line always printed it
 _EMPTY = "dimension propagation derived an empty interval"
-
-
-def _check_additive(chis):
-    if chis[0] - chis[1] + chis[2] != 0:
-        # the chain's alternating sum is chi_A - chi_B + chi_C = r[0] - r[12]
-        raise Inconsistent(
-            f"Euler characteristics {tuple(chis)} are not additive"
-        )
 
 
 def _chase_single_twist(xs, chis):
     """Narrow 12 dimension intervals constrained by one long exact sequence.
 
     xs: list of 12 (lo, hi) intervals in chain order, hi None for unbounded;
-    chis: the three exact Euler characteristics.  Returns the narrowed
-    intervals; data no exact sequence realizes raises Inconsistent.  A column
-    with an exact first term and a free last term, or the other way round, is
-    solved in closed form, any other by propagation.
+    chis: the three exact Euler characteristics.  Returns each entry's least
+    and largest value over the exact chains inside the intervals, hi None if
+    it has no largest; data no exact sequence realizes raises Inconsistent.
+    A column with an exact first term and a free last term, or the other way
+    round, is solved in closed form, any other by the simplex method.
     """
-    _check_additive(chis)
+    if chis[0] - chis[1] + chis[2] != 0:
+        # the chain's alternating sum is chi_A - chi_B + chi_C = r[0] - r[12]
+        raise Inconsistent(f"Euler characteristics {tuple(chis)} are not additive")
     a0, b0, c0, a1, b1, c1, a2, b2, c2, a3, b3, c3 = xs
     if (c0 == c1 == c2 == c3 == _FREE and a0[0] == a0[1] and a1[0] == a1[1]
             and a2[0] == a2[1] and a3[0] == a3[1]):
@@ -292,7 +270,7 @@ def _chase_single_twist(xs, chis):
         # reversed, the chain is that of C^(3-i) -> B^(3-i) -> A^(3-i), whose
         # Euler characteristics are -chi_C, -chi_B, -chi_A
         return _solve_exact_end(xs[::-1], (-chis[2], -chis[1], -chis[0]))[::-1]
-    return _propagate(xs, chis)
+    return _solve(xs, chis)
 
 
 def _solve_exact_end(xs, chis):
@@ -339,52 +317,79 @@ def _solve_exact_end(xs, chis):
     ]
 
 
-def _propagate(xs, chis):
-    """Interval propagation over the rule table: every narrowing is a meet in
-    place, and an empty one raises Inconsistent.  Bounds are kept in flat int
-    lists, None for unbounded.
+def _solve(xs, chis):
+    """The projection of the exact chains by the two-phase simplex method over
+    r[1..11] >= 0, chis additive: one row per finite bound, with a slack, and
+    the chi_A and chi_C rows, whose sum gives chi_B's; then the least and the
+    largest value of each entry that is not exact.  Each row also has an
+    artificial column for the first phase.  The tableau stays totally
+    unimodular, so every pivot is +-1 and every entry an int, however large."""
+    x = [[int(i in (k - 1, k)) for i in range(11)] for k in range(12)]  # in r
+    spec = [(x[k], sign, b) for k, (lo, hi) in enumerate(xs)
+            for sign, b in ((-1, lo), (1, hi)) if b is not None and (b or sign == 1)]
+    spec += [([a - b + c - d for a, b, c, d in zip(*x[j::3])], 0, chis[j])
+             for j in (0, 2)]
+    m, n = len(spec), 11 + len(spec)
+    rows = []
+    for i, (coeffs, sign, b) in enumerate(spec):
+        s = -1 if b < 0 else 1  # a right-hand side >= 0, as the first basis needs
+        row = [s * c for c in coeffs] + [0] * (2 * m) + [s * b]
+        row[11 + i], row[n + i] = sign, 1
+        rows.append(row)
+    # a slack of coefficient 1 starts in the basis, an artificial elsewhere
+    basis = [11 + i if sign == 1 else n + i for i, (_, sign, _) in enumerate(spec)]
+    if _minimise(rows, basis, [0] * n + [1] * m):
+        raise Inconsistent(_EMPTY)
+    for i in range(m):
+        if basis[i] >= n:
+            # an artificial left at 0 gives way: every row has a slack or is a
+            # chi row, so the other columns have full row rank
+            _pivot(rows, basis, i, next(j for j in range(n) if rows[i][j]))
+    rows = [row[:n] + row[-1:] for row in rows]
+    out = list(xs)
+    for k, (lo, hi) in enumerate(xs):
+        if lo != hi:
+            most = _minimise(rows, basis, [-c for c in x[k]])
+            out[k] = (_minimise(rows, basis, x[k]), None if most is None else -most)
+    return out
 
-    A column's matrix, the exactness rows in r[1..11] and the three chi rows,
-    is totally unimodular, so each vertex of its polyhedron has ranks at most
-    S, the sum of the absolute right-hand sides (finite bounds and chis), and
-    dimensions at most 2S.  Propagation is sound, so on a realizable column
-    no lower bound passes 2S, and one that does raises Inconsistent.  Lower
-    bounds then rise, and finite upper bounds fall, in whole steps between
-    fixed limits, so the loop always ends.
-    """
-    _check_additive(chis)
-    c = (*chis, -chis[0], -chis[1], -chis[2], 0)
-    lo = [low for low, _ in xs] + [0] * 13
-    hi = [high for _, high in xs] + [0] + [None] * 11 + [0]
-    cap = 2 * (sum(lo) + sum(h for h in hi if h is not None) + sum(map(abs, chis)))
-    changed = True
-    while changed:
-        changed = False
-        for v, a, b, p, q in _RULES:
-            new_lo = lo[v]
-            if hi[p] is not None:
-                w = c[q] + lo[a] + lo[b] - hi[p]
-                if w > new_lo:
-                    new_lo = w
-            new_hi = hi[v]
-            if hi[a] is not None and hi[b] is not None:
-                w = c[q] + hi[a] + hi[b] - lo[p]
-                if new_hi is None or w < new_hi:
-                    new_hi = w
-            if new_hi is not None and new_lo > new_hi:
-                raise Inconsistent(_EMPTY)
-            if new_lo != lo[v] or new_hi != hi[v]:
-                if new_lo > cap:
-                    raise Inconsistent(_EMPTY)
-                lo[v], hi[v] = new_lo, new_hi
-                changed = True
-    return list(zip(lo[:12], hi[:12]))
+
+def _minimise(rows, basis, cost):
+    """The least of cost . v over the tableau rows, from their feasible basis,
+    by Bland's rule, which never cycles; None if there is no least."""
+    cost = cost + [0] * (len(rows[0]) - 1 - len(cost))
+    z = cost + [0]  # the reduced costs, then minus the objective
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            z = [v - cost[b] * w for v, w in zip(z, row)]
+    while True:
+        j = next((j for j, v in enumerate(z[:-1]) if v < 0), None)
+        if j is None:
+            return -z[-1]
+        # a positive entry is 1, so each ratio is a right-hand side; ties go
+        # to the least basic column
+        rise = [(row[-1], basis[i], i) for i, row in enumerate(rows) if row[j] > 0]
+        if not rise:
+            return None
+        _pivot(rows + [z], basis, min(rise)[2], j)
+
+
+def _pivot(rows, basis, i, j):
+    # column j enters the basis at row i, whose entry there is +-1
+    pivot = rows[i]
+    if pivot[j] < 0:
+        pivot[:] = [-v for v in pivot]
+    for row in rows:
+        f = row[j]
+        if f and row is not pivot:
+            row[:] = [v - f * w for v, w in zip(row, pivot)]
+    basis[i] = j
 
 
 def les_chase(
     tables: tuple[CohomTable, CohomTable, CohomTable],
 ) -> tuple[CohomTable, CohomTable, CohomTable]:
-    """Propagate dimension constraints through a declared exact sequence.
+    """Chase dimension constraints through a declared exact sequence.
 
     Takes the (already twisted) tables of the three terms and returns narrowed
     copies.  Entries are only ever tightened; an empty interval raises

@@ -41,7 +41,7 @@ class NotComputable(EngineError):
 
 
 class Inconsistent(EngineError):
-    """Dimension propagation derived an empty interval: bad input data."""
+    """No exact sequence realizes the dimension data: bad input data."""
 
 
 class RankError(EngineError):

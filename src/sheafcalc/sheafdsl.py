@@ -334,9 +334,10 @@ def cohom_of(
 ):
     """The CohomTable of the expression over the inclusive twist range.
 
-    Entries are exact at atoms (Bott formula) and propagated through declared
-    sequences by the dimension chaser; whatever a connecting map leaves
-    undetermined stays an interval.  Only available on P^3, so the walk runs
+    Entries are exact at atoms (Bott formula) and carried through declared
+    sequences by the dimension chaser, as the projection of the exact chains
+    at each twist; whatever a connecting map leaves undetermined stays an
+    interval.  Only available on P^3, so the walk runs
     on P3 whatever name X carries.  The range may hold at most 10,000 twists.
     """
     # imported here: parse and chern_of need none of it
