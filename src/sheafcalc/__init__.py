@@ -16,8 +16,7 @@ _EXPORTS = {
     "chow": "P3 PRESETS QUADRIC QUINTIC ChernData ThreefoldData chi_at_twist "
     "dual_chern line_chern load_threefold reflexive_dual_rank2 ses_third "
     "sum_chern threefold_from_dict threefold_to_dict twist_chern",
-    "cohomology": "CohomTable DimEntry bott_h generic_dist_cohom les_chase "
-    "serre_tangent_h",
+    "cohomology": "CohomTable DimEntry bott_h generic_dist_cohom les_chase",
     "dist": "ConnReport DistributionProfile StabilityVerdict SubfoliationReport "
     "conn_components dist_chern singular_length stability_classify "
     "subfoliation_analyze",

@@ -160,11 +160,6 @@ def bott_h(p: int, q: int, t: int) -> int:
     return 0
 
 
-def serre_tangent_h(q: int, t: int) -> int:
-    """h^q of the twisted tangent bundle of P^3, through Serre duality."""
-    return bott_h(1, DIM - q, -t - 4)
-
-
 # ---------------------------------------------------------------------------
 # Ready-made all-known tables for the atoms of the expression language.
 
@@ -201,7 +196,7 @@ def omega1_table(lo: int, hi: int) -> CohomTable:
 
 
 def tangent_table(lo: int, hi: int) -> CohomTable:
-    # Serre duality, as in serre_tangent_h: h^q(T(t)) = h^(3-q)(Omega1(-t-4))
+    # Serre duality: h^q(T(t)) = h^(3-q)(Omega1(-t-4))
     _check_span(lo, hi)
     columns = [_bott_column(1, -t - 4)[::-1] for t in range(lo, hi + 1)]
     return CohomTable.of_columns(P3, P3.tangent_chern, lo, columns)
@@ -244,8 +239,8 @@ def tangent_table(lo: int, hi: int) -> CohomTable:
 # exact or boxed.  A free A, C exact, is the same on the chain read backwards.
 # Every other column is solved by the simplex method.
 
-# an unrealizable column's message, worded as the command line always printed it
-_EMPTY = "dimension propagation derived an empty interval"
+# an unrealizable column's message
+_EMPTY = "no exact sequence realizes these dimensions"
 
 
 def _chase_single_twist(xs, chis):

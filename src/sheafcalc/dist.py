@@ -241,11 +241,11 @@ def conn_components(
             "not fabricate it"
         )
     if X.is_p3:
-        from .cohomology import serre_tangent_h  # loaded only where it is used
+        from .cohomology import tangent_table  # loaded only where it is used
 
         d = 2 - p.f
-        tx_h1_vanishes = serre_tangent_h(1, -d - 2) == 0
-        tx_h2_vanishes = serre_tangent_h(2, -d - 2) == 0
+        _, tx_h1, tx_h2, _ = tangent_table(-d - 2, -d - 2).columns[0]
+        tx_h1_vanishes, tx_h2_vanishes = tx_h1 == (0, 0), tx_h2 == (0, 0)
     else:
         if tx_h1_vanishes is None or tx_h2_vanishes is None:
             raise MissingInvariant(

@@ -106,32 +106,23 @@ class NamedDecl(Record):
 _MAX_DEPTH = 300
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<arrow>->)|(?P<sym>[(),+]))"
+    r"(?P<int>-?\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<sym>->|[(),+])|(?P<bad>\S)"
 )
 
 
 def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise DslSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    # finditer skips the white space between tokens; "bad" catches the rest
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(src)]
+    for kind, text, offset in tokens:
+        if kind == "bad":
+            raise DslSyntaxError(f"unexpected character {text!r}", offset)
     tokens.append(("end", "", len(src)))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -144,7 +135,7 @@ class _Parser:
         return tok
 
     def expect(self, sym):
-        # only sym and arrow tokens have the text "(", ")", "," or "->"
+        # only sym tokens have the text "(", ")", "," or "->"
         tok = self.next()
         if tok[1] != sym:
             raise DslSyntaxError(f"expected {sym!r}, found {tok[1]!r}", tok[2])

@@ -163,7 +163,7 @@ PUBLIC = [
     "global_gen_resolution", "les_chase", "line_chern", "load_threefold",
     "moduli_report", "modulispec", "normalize", "normalize_chern", "parse",
     "pic_act", "pretty",
-    "reflexive_dual_rank2", "serre_tangent_h", "ses_third", "sheafdsl",
+    "reflexive_dual_rank2", "ses_third", "sheafdsl",
     "singular_length", "spectrum_point", "stability_classify",
     "subfoliation_analyze", "sum_chern", "threefold_from_dict",
     "threefold_to_dict", "twist_chern",
@@ -185,7 +185,7 @@ def test_package_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert json.loads(out) == [PUBLIC, PUBLIC, True, "0.1.0"]
-    assert len(PUBLIC) == 56
+    assert len(PUBLIC) == 55
     with pytest.raises(AttributeError):
         sheafcalc.no_such_name
 

@@ -110,6 +110,30 @@ CASES = {
         lambda: sheafdsl.parse("O(x)"),
         "DslSyntaxError", "expected an integer, found 'x' (at byte 2)",
     ),
+    "a character no token starts with": (
+        lambda: sheafdsl.parse("O(1) %"),
+        "DslSyntaxError", "unexpected character '%' (at byte 5)",
+    ),
+    "a minus sign with no digits or arrow": (
+        lambda: sheafdsl.parse("O(1) - O(2)"),
+        "DslSyntaxError", "unexpected character '-' (at byte 5)",
+    ),
+    "a token after a whole expression": (
+        lambda: sheafdsl.parse("O(1) )"),
+        "DslSyntaxError", "trailing input ')' (at byte 5)",
+    ),
+    "an expression of white space only": (
+        lambda: sheafdsl.parse(" \t\n"),
+        "DslSyntaxError", "empty expression (at byte 0)",
+    ),
+    "input that ends before a term": (
+        lambda: sheafdsl.parse("coker(O(-2) -> "),
+        "DslSyntaxError", "expected a sheaf term, found '' (at byte 15)",
+    ),
+    "a twist with no comma": (
+        lambda: sheafdsl.parse("twist(TX 3)"),
+        "DslSyntaxError", "expected ',', found '3' (at byte 9)",
+    ),
     "an empty twist range": (
         lambda: sheafdsl.cohom_of(sheafdsl.parse("O(1)"), (1, 0)),
         "DomainError", "empty twist range 1..0",

@@ -225,7 +225,7 @@ def test_deep_coker_chain_matches_the_sequence_chased_step_by_step():
 @pytest.mark.parametrize(
     "leaf,leaf_depth,error,message",
     [
-        ("O(-500)", 1, Inconsistent, "dimension propagation derived an empty interval"),
+        ("O(-500)", 1, Inconsistent, "no exact sequence realizes these dimensions"),
         ("coker(O(0) + O(0) -> O(1))", 3, RankError, "coker would have rank -1 < 0"),
         ("coker(O(0) -> mystery)", 2, UnknownIdentifier,
          "no declaration for sheaf 'mystery'"),
@@ -244,11 +244,11 @@ def test_deep_coker_chain_errors(leaf, leaf_depth, error, message):
     "src,expected",
     [
         ("coker(O(1) -> O(0)) + mystery",
-         "Inconsistent: dimension propagation derived an empty interval"),
+         "Inconsistent: no exact sequence realizes these dimensions"),
         ("mystery + coker(O(1) -> O(0))",
          "UnknownIdentifier: no declaration for sheaf 'mystery'"),
         ("rdual(coker(O(1) -> O(0)))",
-         "Inconsistent: dimension propagation derived an empty interval"),
+         "Inconsistent: no exact sequence realizes these dimensions"),
         ("coker(O(0) + O(0) -> coker(O(1) -> O(0)))",
          "RankError: coker would have rank -2 < 0"),
         ("dual(coker(O(1) -> O(0)))", "? ? ? ?"),
@@ -302,6 +302,30 @@ expressions = st.recursive(leaves, _extend, max_leaves=12)
 @settings(max_examples=150)
 def test_pretty_print_round_trip(e):
     assert parse(pretty(e)) == e
+
+
+# the DSL's words and symbols, white space, and characters no token starts with
+# (a lone surrogate among them), joined so that valid expressions come up too
+fragments = st.sampled_from([
+    "O", "TX", "Omega1", "twist", "dual", "rdual", "coker", "ker", "E", "(", ")",
+    ",", "+", "->", "-", "3", "-2", " ", "\t", "\n", "#", "%", "é", "٣", "𝟙",
+    "\x00", "\u2003", "\ud800",
+])
+any_text = st.one_of(
+    st.text(st.characters(blacklist_categories=())),
+    st.lists(fragments, max_size=24).map("".join),
+)
+
+
+@given(any_text)
+@settings(max_examples=300)
+def test_any_text_parses_or_is_refused_at_an_offset(src):
+    try:
+        e = parse(src)
+    except DslSyntaxError as err:
+        assert 0 <= err.offset <= len(src)
+    else:
+        assert parse(pretty(e)) == e
 
 
 def test_chern_of_examples():
