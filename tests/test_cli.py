@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafcalc.chow import P3, QUINTIC, threefold_to_dict
-from sheafcalc.cli import OutputDocument, _json_text, main
-from sheafcalc.cohomology import _MAX_SPAN, generic_dist_cohom
+from sheafcalc.chow import P3, QUINTIC, chi_series, threefold_to_dict
+from sheafcalc.cli import OutputDocument, _cohom_payload, _json_text, main
+from sheafcalc.cohomology import _MAX_SPAN, CohomTable, generic_dist_cohom
 from sheafcalc.errors import EngineError
+from sheafcalc.sheafdsl import chern_of, cohom_of, parse
 
 
 def run_cli(capsys, *argv):
@@ -768,6 +769,77 @@ def test_the_json_writer_writes_every_golden_payload():
 def test_the_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+# ---------------------------------------------------------------------------
+# A cohomology table's rows, written from templates, against the row dicts
+# that json.dumps writes.
+
+
+def _pair_json(pair):
+    # a table's (lo, hi) pair: the unknown (0, None), known or bounded
+    lo, hi = pair
+    if hi is None:
+        return {"status": "unknown"}
+    if lo == hi:
+        return {"status": "known", "value": lo}
+    return {"status": "bounded", "lo": lo, "hi": hi}
+
+
+def _oracle_rows(table, lo, hi):
+    chis = chi_series(table.chern, lo, table.X)
+    rows = []
+    for t in range(lo, hi + 1):
+        h0, h1, h2, h3 = table.column(t)
+        rows.append({
+            "twist": t,
+            "h0": _pair_json(h0),
+            "h1": _pair_json(h1),
+            "h2": _pair_json(h2),
+            "h3": _pair_json(h3),
+            "chi": next(chis),
+        })
+    return rows
+
+
+HUGE = 10**330
+table_pairs = st.one_of(
+    st.just((0, None)),
+    st.integers(0, HUGE).map(lambda n: (n, n)),
+    st.tuples(st.integers(0, HUGE), st.integers(1, HUGE)).map(lambda p: (p[0], p[0] + p[1])),
+)
+
+
+@st.composite
+def _cohom_tables(draw):
+    # (expression, table, lo, hi): drawn columns at twists of either sign, a
+    # table with no columns, or a sum with a side that has none
+    lo = draw(st.integers(-10**6, 10**6))
+    hi = lo + draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["drawn", "no columns", "sum"]))
+    if kind == "drawn":
+        expr = parse(f"O({draw(st.integers(-50, 50))})")
+        column = st.tuples(table_pairs, table_pairs, table_pairs, table_pairs)
+        columns = draw(st.lists(column, min_size=hi - lo + 1, max_size=hi - lo + 1))
+        return expr, CohomTable.of_columns(P3, chern_of(expr), lo, columns), lo, hi
+    expr = parse("dual(coker(O(-1) -> TX))" + (" + O(1)" if kind == "sum" else ""))
+    return expr, cohom_of(expr, (lo, hi)), lo, hi
+
+
+@given(st.lists(_cohom_tables(), min_size=1, max_size=3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_table_rows_are_written_as_json_dumps_writes_the_row_dicts(tables, batch):
+    payloads = [_cohom_payload(expr, P3, table, lo, hi) for expr, table, lo, hi in tables]
+    oracles = [
+        dict(payload, table=_oracle_rows(table, lo, hi))
+        for payload, (_, table, lo, hi) in zip(payloads, tables)
+    ]
+    # a --batch document's results, or a --sheaf document
+    payload, oracle = ({"results": payloads}, {"results": oracles}) if batch \
+        else (payloads[0], oracles[0])
+    document = OutputDocument("json", payload, None).render()
+    assert document == json.dumps(oracle, indent=2) + "\n"
+    assert json.loads(document) == oracle
 
 
 # ---------------------------------------------------------------------------
