@@ -3,9 +3,11 @@
 Every subcommand emits a deterministic document in one of three formats
 (aligned table, CSV, JSON); JSON payloads carry a ``sources`` map naming the
 internal rule that produced each numeric claim, so outputs can be golden-file
-tested.  Exit codes: 0 success, 2 usage error, 3 engine error (the error's
-typed name is printed on stderr).  Each handler imports the engine modules
-it uses, so a process loads only what its subcommand needs.
+tested.  json.dumps(indent=2) writes every JSON document but cohomology's,
+which one %-template per result writes, byte-identical to json.dumps.  Exit
+codes: 0 success, 2 usage error, 3 engine error (the error's typed name is
+printed on stderr).  Each handler imports the engine modules it uses, so a
+process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -31,98 +33,80 @@ SING1F_KINDS = ("empty", "irred", "other")  # dist.SING1_*, without loading dist
 _quote = json.encoder.encode_basestring_ascii  # the C quoting of json.dumps
 
 
-def _json_text(x, newline: str = "\n") -> str:
-    """x as json.dumps(x, indent=2) writes it, with x's containers at the
-    indent that newline ends in.
-
-    Only dicts with str keys, lists, tuples, str, int, bool, None and
-    _TableRows are written; anything else raises TypeError.  A _TableRows
-    writes itself at the newline given, each row from one template, in 0.30
-    of the time its row dicts took to build and write (300 ``cohomology
-    --batch`` requests, Python 3.11.7); json.dumps(indent=2) took 2.5 times
-    as long as this on those dicts, as it runs its pure-Python encoder.
-    """
+def _block(brackets: str, members: list, newline: str) -> str:
+    # members between brackets ("{}" or "[]"), as json.dumps(indent=2) writes
+    # them in a container whose closing bracket follows newline
     inner = newline + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        # a member whose type is exactly str or int is written in place; the
-        # call takes containers, None, bools, subclasses and refused types
-        items = [
-            _quote(k) + ": " + (
-                _quote(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
-                else _json_text(v, inner)
-            )
-            for k, v in x.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = [
-            _quote(v) if type(v) is str
-            else int.__repr__(v) if type(v) is int
-            else _json_text(v, inner)
-            for v in x
-        ]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)  # ValueError past the digit limit, as json.dumps
-    if isinstance(x, _TableRows):
-        return x.json(newline)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(members) + newline + brackets[1]
 
 
 @functools.cache
-def _row_format(newline: str):
-    # the %-template of a cohomology row in a list at this newline, and the
-    # writer of its cells; %d raises the digit limit's ValueError, as repr does
-    item, member, field = (newline + "  " * k for k in (1, 2, 3))
-    status = "{" + field + '"status": '
-    known = status + '"known",' + field + '"value": %d' + member + "}"
-    bounded = status + '"bounded",' + field + '"lo": %d,' + field + '"hi": %d' + member + "}"
-    unknown = status + '"unknown"' + member + "}"
+def _cohom_format(newline: str):
+    # the %-templates of a cohomology result that closes after newline and of
+    # a row of its table, as json.dumps(indent=2) writes them, and the writer
+    # of a row's cells; %d raises the digit limit's ValueError, as repr does
+    member, item, field = (newline + "  " * k for k in (1, 2, 3))
+    known = _block("{}", ['"status": "known"', '"value": %d'], field)
+    bounded = _block("{}", ['"status": "bounded"', '"lo": %d', '"hi": %d'], field)
+    unknown = _block("{}", ['"status": "unknown"'], field)
 
     def cell(pair):
         lo, hi = pair
         return unknown if hi is None else known % lo if lo == hi else bounded % pair
 
     keys = ['"twist": %d'] + [f'"h{i}": %s' for i in range(4)] + ['"chi": %d']
-    return "{" + member + ("," + member).join(keys) + item + "}", cell
+    row = item + _block("{}", keys, item)  # a row starts on its own line
+    sources = ['"chern": "dslWhitney"', '"table": "bottChase"', '"chi": "hrr"']
+    result = _block("{}", [
+        '"expression": %s',
+        '"threefold": %s',
+        '"rank": %d',
+        '"chern": ' + _block("[]", ["%d"] * 3, member),
+        '"twists": ' + _block("[]", ["%d"] * 2, member),
+        '"table": [%s' + member + "]",  # its rows, joined by ","; never empty
+        '"sources": ' + _block("{}", sources, member),
+    ], newline)
+    return result, row, cell
 
 
-class _TableRows(Record):
-    rows: list  # a cohomology table's (twist, column of (lo, hi) pairs, chi)
+class _CohomDocument(Record):
+    # what cohomology prints as json: a --sheaf run's one result, or a --batch
+    # run's results in {"results": [...]}
+    threefold: str  # the --threefold name; a table's own X is P3 under any name
+    lo: int
+    hi: int
+    results: list  # (expression, chern, rows of (twist, column, chi)) each
+    batch: bool
 
-    def json(self, newline: str) -> str:
-        # as json.dumps writes the row dicts {"twist", "h0".."h3", "chi"}
-        row, cell = _row_format(newline)
-        rows = [
-            row % (t, cell(h0), cell(h1), cell(h2), cell(h3), chi)
-            for t, (h0, h1, h2, h3), chi in self.rows
+    def json(self) -> str:
+        result, row, cell = _cohom_format("\n    " if self.batch else "\n")
+        threefold, lo, hi = _quote(self.threefold), self.lo, self.hi
+        texts = [
+            result % (
+                _quote(expression), threefold, chern.rank, chern.c1, chern.n2, chern.n3,
+                lo, hi, ",".join([
+                    row % (t, cell(h0), cell(h1), cell(h2), cell(h3), chi)
+                    for t, (h0, h1, h2, h3), chi in rows
+                ]),
+            )
+            for expression, chern, rows in self.results
         ]
-        item = newline + "  "  # rows is never empty: lo <= hi
-        return "[" + item + ("," + item).join(rows) + newline + "]"
+        if not self.batch:
+            return texts[0]
+        return '{\n  "results": %s\n}' % (_block("[]", texts, "\n  ") if texts else "[]")
 
 
 class OutputDocument(Record):
     format: str
     # a handler may leave out (None) the one its format does not print
-    payload: dict | None  # what json prints; a table's rows may be a _TableRows
+    payload: dict | _CohomDocument | None  # what json prints; json.dumps writes a dict
     rows: list | None  # what table and csv print: rows of str, the first the header
 
     def render(self) -> str:
         if self.format == "json":
-            return _json_text(self.payload) + "\n"
+            if type(self.payload) is _CohomDocument:
+                return self.payload.json() + "\n"
+            return json.dumps(self.payload, indent=2) + "\n"
         if self.format == "csv":
             import csv
 
@@ -306,68 +290,41 @@ def _cmd_moduli(args, parser):
     return _field_doc(payload)
 
 
-def _cohom_payload(expr, X, table, lo, hi) -> dict:
-    from .sheafdsl import pretty
-
-    # chi is read here, after this expression's walk and before the next one's
-    chis = chi_series(table.chern, lo, table.X)
-    rows = [(t, table.column(t), chi) for t, chi in zip(range(lo, hi + 1), chis)]
-    chern = table.chern
-    return {
-        "expression": pretty(expr),
-        "threefold": X.name,  # table.X is P3 under any name
-        "rank": chern.rank,
-        "chern": _chern_triple(chern),
-        "twists": [lo, hi],
-        "table": _TableRows(rows),
-        "sources": {"chern": "dslWhitney", "table": "bottChase", "chi": "hrr"},
-    }
-
-
-def _cohom_rows(table, lo, hi) -> list:
-    chis = chi_series(table.chern, lo, table.X)
-    return [
-        [str(t)] + [_pair_text(x) for x in table.column(t)] + [str(next(chis))]
-        for t in range(lo, hi + 1)
-    ]
-
-
 def _cmd_cohomology(args, parser):
-    # builds only what --format prints: the JSON payload or the text rows
+    # --sheaf E runs as a batch of one; builds only what --format prints
     from .sheafdsl import cohom_of, parse, parse_batch, pretty
 
     X = _resolve_threefold(args.threefold)
     lo, hi = _parse_twists(args.twists, parser)
-    as_json = args.format == "json"
-    if args.batch is None:
+    batch = args.batch is not None
+    if not batch:
         if hi - lo + 1 > TWIST_WIDTH_CAP:
-            parser.error(
-                f"--twists width exceeds {TWIST_WIDTH_CAP}; use --batch mode"
-            )
-        expr = parse(args.sheaf)
-        table = cohom_of(expr, (lo, hi), X)
-        if as_json:
-            return _cohom_payload(expr, X, table, lo, hi), None
-        return None, [["twist", "h0", "h1", "h2", "h3", "chi"]] + _cohom_rows(table, lo, hi)
-    # a batch builds every row before printing, so it takes the engine's cap
-    from .cohomology import _MAX_SPAN
+            parser.error(f"--twists width exceeds {TWIST_WIDTH_CAP}; use --batch mode")
+        exprs = [parse(args.sheaf)]
+    else:
+        # a batch builds every row before printing, so it takes the engine's cap
+        from .cohomology import _MAX_SPAN
 
-    if hi - lo + 1 > _MAX_SPAN:
-        parser.error(f"--twists width exceeds {_MAX_SPAN}")
-    try:
-        text = Path(args.batch).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read batch file: {exc}") from exc
+        if hi - lo + 1 > _MAX_SPAN:
+            parser.error(f"--twists width exceeds {_MAX_SPAN}")
+        try:
+            text = Path(args.batch).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read batch file: {exc}") from exc
+        exprs = parse_batch(text)
     results = []
-    rows = [["expression", "twist", "h0", "h1", "h2", "h3", "chi"]]
-    for expr in parse_batch(text):
+    for expr in exprs:
         table = cohom_of(expr, (lo, hi), X)
-        if as_json:
-            results.append(_cohom_payload(expr, X, table, lo, hi))
-        else:
-            name = pretty(expr)
-            rows += [[name] + row for row in _cohom_rows(table, lo, hi)]
-    return ({"results": results}, None) if as_json else (None, rows)
+        # chi is read here, after this expression's walk and before the next one's
+        chis = chi_series(table.chern, lo, table.X)
+        rows = [(t, table.column(t), chi) for t, chi in zip(range(lo, hi + 1), chis)]
+        results.append((pretty(expr), table.chern, rows))
+    if args.format == "json":
+        return _CohomDocument(X.name, lo, hi, results, batch), None
+    return None, [["expression"] * batch + ["twist", "h0", "h1", "h2", "h3", "chi"]] + [
+        [name] * batch + [str(t), *map(_pair_text, column), str(chi)]
+        for name, _, rows in results for t, column, chi in rows
+    ]
 
 
 def _cmd_spectrum(args, parser):

@@ -460,16 +460,14 @@ def generic_dist_cohom(d: int, p: int) -> dict[int, DimEntry]:
     h^0(F*(-p-4)) = h^0(F(d-6-p)); h^2 is what the Euler characteristic of
     F's Chern data, from dist.dist_chern, leaves.
     """
-    from .dist import DistributionProfile, dist_chern
+    from .dist import _p3_profile, dist_chern
 
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
+    chern = dist_chern(_p3_profile(d))  # refuses a negative degree
 
     def sections(t):  # h^0(F(t))
         return max(0, bott_h(1, 0, t + 2 - d) - bott_h(0, 0, t - 2 * d))
 
     h0, h3 = sections(p), sections(d - 6 - p)
     h1 = 1 if p == d - 2 else 0
-    chern = dist_chern(DistributionProfile(P3, 2 - d))
     h2 = chi_at_twist(chern, p, P3) - h0 + h1 + h3
     return {i: DimEntry(n, n) for i, n in enumerate((h0, h1, h2, h3))}

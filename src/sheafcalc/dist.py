@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from .chow import (
     ChernData,
+    P3,
     ThreefoldData,
     TX_SEMISTABLE,
     TX_STABLE,
@@ -64,6 +65,13 @@ class DistributionProfile(Record):
     def degree(self) -> int | None:
         """The classical degree 2 - f, defined on P^3 only."""
         return 2 - self.f if self.X.is_p3 else None
+
+
+def _p3_profile(d: int) -> DistributionProfile:
+    # the generic degree-d distribution on P^3
+    if d < 0:
+        raise DomainError(f"degree must be >= 0, got {d}")
+    return DistributionProfile(P3, 2 - d, generic=True)
 
 
 class StabilityVerdict(Record):

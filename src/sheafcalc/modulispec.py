@@ -6,7 +6,7 @@ twisting action of the Picard group.
 from __future__ import annotations
 
 from .chow import ChernData, P3, ThreefoldData, twist_chern
-from .dist import DistributionProfile, dist_chern
+from .dist import DistributionProfile, _p3_profile, dist_chern
 from .errors import DomainError, HypothesisError, UnsupportedRank
 from .record import Record
 
@@ -53,12 +53,6 @@ class SpectrumPoint(Record):
     X: ThreefoldData
     r: int
     triple: ChernData
-
-
-def _p3_profile(d: int) -> DistributionProfile:
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
-    return DistributionProfile(P3, 2 - d, generic=True)
 
 
 def ext2_dim(d: int) -> int:

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import enum
 import io
 import json
 import os
@@ -15,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafcalc.chow import P3, QUINTIC, chi_series, threefold_to_dict
-from sheafcalc.cli import OutputDocument, _cohom_payload, _json_text, main
+from sheafcalc.cli import OutputDocument, _CohomDocument, main
 from sheafcalc.cohomology import _MAX_SPAN, CohomTable, generic_dist_cohom
 from sheafcalc.errors import EngineError
-from sheafcalc.sheafdsl import chern_of, cohom_of, parse
+from sheafcalc.sheafdsl import chern_of, cohom_of, parse, pretty
 
 
 def run_cli(capsys, *argv):
@@ -683,67 +682,7 @@ def test_extreme_integers_exit_with_a_documented_code(argv):
 
 
 # ---------------------------------------------------------------------------
-# The JSON writer, against json.dumps(indent=2) as the reference.
-
-# the digit limit, or a size of the same order where Python has none
-WIDE = DIGIT_LIMIT or 4300
-# ints of WIDE - 1 to WIDE + 1 digits, either sign, built from digit counts:
-# Hypothesis would repr a list of such ints, and repr fails past the limit
-near_limit = st.tuples(
-    st.integers(WIDE - 1, WIDE + 1), st.booleans(), st.sampled_from([1, -1])
-).map(lambda p: p[2] * (10 ** p[0] - 1 if p[1] else 10 ** (p[0] - 1)))
-json_strings = st.text(st.one_of(
-    st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600𐏿'),
-    st.characters(blacklist_categories=()),  # every code point, lone surrogates too
-))
-
-
-class _Level(enum.IntEnum):
-    LOW = -1
-    HIGH = 7
-
-
-class _Count(int):
-    # json.dumps writes an int subclass with int.__repr__, not with its own
-    def __repr__(self):
-        return f"_Count({int(self)})"
-
-
-class _Name(str):
-    pass
-
-
-# the writer writes members of exactly str or int in place; bools, IntEnum
-# members and other subclasses take its general path and must match too
-json_values = st.recursive(
-    st.one_of(
-        st.none(), st.booleans(), st.integers(), near_limit, json_strings,
-        st.sampled_from(_Level), st.integers().map(_Count), json_strings.map(_Name),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(json_strings, children, max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-def _written(write, x):
-    # the text, or the digit limit's ValueError as (name, message)
-    try:
-        return write(x)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
-@given(json_values)
-@settings(max_examples=300, deadline=None)
-def test_the_json_writer_writes_what_json_dumps_writes(x):
-    expected = _written(lambda x: json.dumps(x, indent=2), x)
-    assert _written(_json_text, x) == expected
-    document = _written(lambda x: OutputDocument("json", x, None).render(), x)
-    assert document == (expected + "\n" if isinstance(expected, str) else expected)
+# JSON documents, against json.dumps(indent=2) as the reference.
 
 
 def test_the_json_writer_writes_every_golden_payload():
@@ -754,26 +693,17 @@ def test_the_json_writer_writes_every_golden_payload():
     ]
     assert len(documents) >= 15
     for document in documents:
-        payload = json.loads(document)
-        assert _json_text(payload) + "\n" == document
-        assert json.dumps(payload, indent=2) + "\n" == document
-
-
-@pytest.mark.parametrize(
-    "value", [
-        1.5, {1, 2}, [0, {"a": 2.0}], {"a": frozenset()}, {1: "int key"}, object(),
-        # floats as direct members, past the in-place branches
-        {"a": 1.5}, [None, 2.5],
-    ]
-)
-def test_the_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _json_text(value)
+        assert json.dumps(json.loads(document), indent=2) + "\n" == document
 
 
 # ---------------------------------------------------------------------------
-# A cohomology table's rows, written from templates, against the row dicts
+# Cohomology documents, written from templates, against the payload dicts
 # that json.dumps writes.
+
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600𐏿'),
+    st.characters(blacklist_categories=()),  # every code point, lone surrogates too
+))
 
 
 def _pair_json(pair):
@@ -786,7 +716,8 @@ def _pair_json(pair):
     return {"status": "bounded", "lo": lo, "hi": hi}
 
 
-def _oracle_rows(table, lo, hi):
+def _oracle_payload(expr, threefold, table, lo, hi):
+    # a cohomology result as the dicts json.dumps writes
     chis = chi_series(table.chern, lo, table.X)
     rows = []
     for t in range(lo, hi + 1):
@@ -799,7 +730,22 @@ def _oracle_rows(table, lo, hi):
             "h3": _pair_json(h3),
             "chi": next(chis),
         })
-    return rows
+    chern = table.chern
+    return {
+        "expression": pretty(expr),
+        "threefold": threefold,
+        "rank": chern.rank,
+        "chern": [chern.c1, chern.n2, chern.n3],
+        "twists": [lo, hi],
+        "table": rows,
+        "sources": {"chern": "dslWhitney", "table": "bottChase", "chi": "hrr"},
+    }
+
+
+def _result(expr, table, lo, hi):
+    # a cohomology result as the handler builds it
+    chis = chi_series(table.chern, lo, table.X)
+    return pretty(expr), table.chern, [(t, table.column(t), next(chis)) for t in range(lo, hi + 1)]
 
 
 HUGE = 10**330
@@ -811,35 +757,38 @@ table_pairs = st.one_of(
 
 
 @st.composite
-def _cohom_tables(draw):
-    # (expression, table, lo, hi): drawn columns at twists of either sign, a
-    # table with no columns, or a sum with a side that has none
+def _cohom_documents(draw):
+    # (threefold, lo, hi, tables, batch): 0-3 tables of a --batch document or
+    # one of a --sheaf document, over twists of either sign; a table has drawn
+    # columns or no columns, or is a sum with a side that has none
     lo = draw(st.integers(-10**6, 10**6))
     hi = lo + draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["drawn", "no columns", "sum"]))
-    if kind == "drawn":
-        expr = parse(f"O({draw(st.integers(-50, 50))})")
-        column = st.tuples(table_pairs, table_pairs, table_pairs, table_pairs)
-        columns = draw(st.lists(column, min_size=hi - lo + 1, max_size=hi - lo + 1))
-        return expr, CohomTable.of_columns(P3, chern_of(expr), lo, columns), lo, hi
-    expr = parse("dual(coker(O(-1) -> TX))" + (" + O(1)" if kind == "sum" else ""))
-    return expr, cohom_of(expr, (lo, hi)), lo, hi
+    batch = draw(st.booleans())
+    tables = []
+    for _ in range(draw(st.integers(0, 3)) if batch else 1):
+        kind = draw(st.sampled_from(["drawn", "no columns", "sum"]))
+        if kind == "drawn":
+            expr = parse(f"O({draw(st.integers(-50, 50))})")
+            column = st.tuples(table_pairs, table_pairs, table_pairs, table_pairs)
+            columns = draw(st.lists(column, min_size=hi - lo + 1, max_size=hi - lo + 1))
+            tables.append((expr, CohomTable.of_columns(P3, chern_of(expr), lo, columns)))
+        else:
+            expr = parse("dual(coker(O(-1) -> TX))" + (" + O(1)" if kind == "sum" else ""))
+            tables.append((expr, cohom_of(expr, (lo, hi))))
+    return draw(st.one_of(st.just("p3"), json_strings)), lo, hi, tables, batch
 
 
-@given(st.lists(_cohom_tables(), min_size=1, max_size=3), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_table_rows_are_written_as_json_dumps_writes_the_row_dicts(tables, batch):
-    payloads = [_cohom_payload(expr, P3, table, lo, hi) for expr, table, lo, hi in tables]
-    oracles = [
-        dict(payload, table=_oracle_rows(table, lo, hi))
-        for payload, (_, table, lo, hi) in zip(payloads, tables)
-    ]
-    # a --batch document's results, or a --sheaf document
-    payload, oracle = ({"results": payloads}, {"results": oracles}) if batch \
-        else (payloads[0], oracles[0])
-    document = OutputDocument("json", payload, None).render()
-    assert document == json.dumps(oracle, indent=2) + "\n"
-    assert json.loads(document) == oracle
+@given(_cohom_documents())
+@settings(max_examples=300, deadline=None)
+def test_cohomology_documents_are_written_as_json_dumps_writes_their_payloads(document):
+    threefold, lo, hi, tables, batch = document
+    results = [_result(expr, table, lo, hi) for expr, table in tables]
+    oracles = [_oracle_payload(expr, threefold, table, lo, hi) for expr, table in tables]
+    payload = _CohomDocument(threefold, lo, hi, results, batch)
+    oracle = {"results": oracles} if batch else oracles[0]
+    text = OutputDocument("json", payload, None).render()
+    assert text == json.dumps(oracle, indent=2) + "\n"
+    assert json.loads(text) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -888,3 +837,41 @@ def test_json_and_csv_documents_of_a_batch_agree(batch, capsys, tmp_path):
         for row in result["table"]
     ]
     assert list(csv.reader(io.StringIO(documents["csv"]))) == expected
+
+
+# --sheaf E runs as a batch of one; each format's two documents must agree.
+SHEAF_AND_BATCH = [
+    "dual(coker(O(-1) -> TX))",  # a table with no columns
+    "coker(rdual(coker(O(-1) -> TX)) -> twist(dual(Omega1), 1) + O(1))",  # bounded entries
+    "coker(O(1) -> O(0))",  # a refusal
+]
+
+
+@pytest.mark.parametrize("sheaf", SHEAF_AND_BATCH, ids=["no columns", "bounded", "refused"])
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_a_sheaf_document_is_a_batch_of_one(sheaf, fmt, capsys, tmp_path):
+    path = tmp_path / "batch.txt"
+    path.write_text(sheaf + "\n")
+    tail = ["--twists", "-3..2", "--format", fmt]
+    code, out, err = run_cli(capsys, "cohomology", "--sheaf", sheaf, *tail)
+    batch = run_cli(capsys, "cohomology", "--batch", str(path), *tail)
+    if code != 0:
+        assert code == 3 and out == "" and err.startswith("Inconsistent: ")
+        assert batch == (code, out, err)
+        return
+    assert err == "" and batch[0] == 0 and batch[2] == ""
+    if fmt == "json":
+        assert json.loads(batch[1]) == {"results": [json.loads(out)]}
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert list(csv.reader(io.StringIO(batch[1]))) == [["expression"] + rows[0]] + [
+            [sheaf] + row for row in rows[1:]
+        ]
+    else:
+        # the expression column, then the --sheaf document's own columns
+        width = len(sheaf)
+        lines, batch_lines = out.splitlines(), batch[1].splitlines()
+        assert [line[:width + 2] for line in batch_lines] == [
+            "expression".ljust(width + 2), "-" * width + "  "
+        ] + [sheaf + "  "] * (len(lines) - 2)
+        assert [line[width + 2:] for line in batch_lines] == lines
